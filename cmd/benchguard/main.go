@@ -34,6 +34,18 @@
 //   - plan_cache_speedup (warm repeat over shared plan + artifact caches vs
 //     the planned cold path, a within-run pair like the overhead gates, so
 //     it gates unconditionally: must stay >= 1.5x)
+//   - planner_overhead_pct (planned cold vs the interleaved unplanned cold
+//     of the same run: the planner must not make a cold query more than 10%
+//     slower, with the same 0.25ms grace as the instrumentation gates)
+//   - plan_cache_speedup_matched (the WHEN query of the plan-golden corpus
+//     with the estimator cache warm on both sides, plan cache + pushdown vs
+//     the row loop: the planned side may be at most 10% slower, 0.25ms
+//     grace). Unlike plan_cache_speedup, training is shared by both sides,
+//     so this is what the plan cache itself buys.
+//
+// The planner collects stats only for the columns a query reads, so a
+// WHEN-less cold query (the planner_overhead_pct pair) pays for no stats
+// scan; the gate keeps it that way.
 //
 // Usage:
 //
@@ -62,8 +74,11 @@ type metrics struct {
 	ColdWhatIfMeteredMs    float64 `json:"cold_whatif_metered_ms"`
 	MeteringOverheadPct    float64 `json:"metering_overhead_pct"`
 	ColdWhatIfPlannedMs    float64 `json:"cold_whatif_planned_ms"`
+	ColdWhatIfUnplannedMs  float64 `json:"cold_whatif_unplanned_ms"`
 	WarmPlanCacheMs        float64 `json:"warm_plan_cache_ms"`
 	PlanCacheSpeedup       float64 `json:"plan_cache_speedup"`
+	WarmPlannedMatchedMs   float64 `json:"warm_planned_matched_ms"`
+	WarmUnplannedMatchedMs float64 `json:"warm_unplanned_matched_ms"`
 }
 
 // env renders the execution environment of one run for the verdict. Older
@@ -176,28 +191,36 @@ func main() {
 	// (hyperbench interleaves instrumented and bare reps on this machine),
 	// so they gate against the fixed 2% budget regardless of the baseline's
 	// hardware. The absolute grace keeps sub-millisecond jitter on small
-	// workloads from tripping a percentage gate.
+	// workloads from tripping a percentage gate. The planner pairs gate the
+	// same way against a 10% budget.
 	const maxInstrumentationPct = 2.0
-	const instrumentationGraceMs = 0.25
-	pairedGate := func(name string, instrumentedMs, overheadPct float64) {
-		if instrumentedMs <= 0 {
+	const maxPlannerPct = 10.0
+	const pairedGraceMs = 0.25
+	pairedGate := func(name string, instrumentedMs, bareMs, maxPct float64) {
+		if instrumentedMs <= 0 || bareMs <= 0 {
 			fmt.Printf("%-28s not measured (regenerate with current hyperbench)\n", name)
 			return
 		}
-		// Recover the paired bare time from the ratio: cold_whatif_ms is a
-		// median over different reps and would make the delta incoherent.
-		pairedBareMs := instrumentedMs / (1 + overheadPct/100)
-		deltaMs := instrumentedMs - pairedBareMs
+		overheadPct := (instrumentedMs/bareMs - 1) * 100
+		deltaMs := instrumentedMs - bareMs
 		status := "ok"
-		if overheadPct > maxInstrumentationPct && deltaMs > instrumentationGraceMs {
+		if overheadPct > maxPct && deltaMs > pairedGraceMs {
 			status = "REGRESSION"
 			failed = true
 		}
 		fmt.Printf("%-28s current %+.3f%% (%+.3fms)    limit %.6g%%       %s\n",
-			name, overheadPct, deltaMs, maxInstrumentationPct, status)
+			name, overheadPct, deltaMs, maxPct, status)
 	}
-	pairedGate("tracing_overhead_pct", cur.ColdWhatIfTracedMs, cur.TracingOverheadPct)
-	pairedGate("metering_overhead_pct", cur.ColdWhatIfMeteredMs, cur.MeteringOverheadPct)
+	// The instrumentation pairs store only the instrumented side; recover
+	// the paired bare time from the ratio (cold_whatif_ms is a median over
+	// different reps and would make the delta incoherent).
+	bareOf := func(ms, pct float64) float64 { return ms / (1 + pct/100) }
+	pairedGate("tracing_overhead_pct", cur.ColdWhatIfTracedMs,
+		bareOf(cur.ColdWhatIfTracedMs, cur.TracingOverheadPct), maxInstrumentationPct)
+	pairedGate("metering_overhead_pct", cur.ColdWhatIfMeteredMs,
+		bareOf(cur.ColdWhatIfMeteredMs, cur.MeteringOverheadPct), maxInstrumentationPct)
+	pairedGate("planner_overhead_pct", cur.ColdWhatIfPlannedMs, cur.ColdWhatIfUnplannedMs, maxPlannerPct)
+	pairedGate("plan_cache_speedup_matched", cur.WarmPlannedMatchedMs, cur.WarmUnplannedMatchedMs, maxPlannerPct)
 
 	// The plan-cache speedup is a within-run cold/warm pair like the
 	// instrumentation overheads, so it gates unconditionally: a warm repeat

@@ -143,7 +143,7 @@ type Options struct {
 	// causal model.
 	Cache *Cache
 	// Plans, when non-nil, caches compiled query plans — WHEN pushdown
-	// programs, cost-based conjunct order, per-view column stats — keyed by
+	// programs, cost-based conjunct order, per-column stats — keyed by
 	// shape fingerprint + schema signature, so structurally identical
 	// queries skip planning. Purely an execution knob excluded from
 	// estimator cache identity: planned and unplanned evaluation are

@@ -42,9 +42,10 @@ func newColumnDigest(name string) *ColumnDigest {
 	}
 }
 
-// observe accumulates one value, mirroring CollectStats's per-value step
-// exactly (NaN sets the flag and skips the range fold; non-numeric kinds
-// clear Numeric but still count toward the distinct set).
+// observe accumulates one value. It is the one per-value step of every
+// stats path (ColumnStatsOf, CollectStats, Advance): NaN sets the flag and
+// skips the range fold; non-numeric kinds clear Numeric but still count
+// toward the distinct set.
 func (c *ColumnDigest) observe(v relation.Value) {
 	c.rows++
 	if v.IsNull() {
@@ -95,8 +96,8 @@ func (c *ColumnDigest) merge(other *ColumnDigest) {
 	}
 }
 
-// stats renders the digest as the planner's wire form, with the same
-// end-of-scan normalizations CollectStats applies.
+// stats renders the digest as the planner's wire form, applying the
+// end-of-scan normalizations (NullFrac, an empty numeric range as 0..0).
 func (c *ColumnDigest) stats() ColumnStats {
 	st := ColumnStats{
 		Name: c.name, Rows: c.rows, Card: len(c.distinct),

@@ -10,8 +10,10 @@ import (
 	"hyper/internal/shard"
 )
 
-// digestRel builds a relation with every value-kind wrinkle CollectStats
-// handles: nulls, NaNs, mixed magnitudes, and a non-numeric column.
+// digestRel builds a relation with every value-kind wrinkle the stats path
+// handles: nulls, NaNs, mixed magnitudes, a non-numeric column, and an
+// untyped column mixing ints with floats (whole and fractional) on both
+// sides of the 1e15 key-exactness threshold.
 func digestRel(t *testing.T, n int) *relation.Relation {
 	t.Helper()
 	rel := relation.NewRelation("D", relation.MustSchema(
@@ -19,6 +21,7 @@ func digestRel(t *testing.T, n int) *relation.Relation {
 		relation.Column{Name: "Num", Kind: relation.KindFloat, Mutable: true},
 		relation.Column{Name: "Cat", Kind: relation.KindString, Mutable: true},
 		relation.Column{Name: "Sparse", Kind: relation.KindFloat, Mutable: true},
+		relation.Column{Name: "Wide", Mutable: true},
 	))
 	for i := 0; i < n; i++ {
 		num := relation.Float(float64(i%17) - 8.5)
@@ -29,11 +32,27 @@ func digestRel(t *testing.T, n int) *relation.Relation {
 		if i%5 == 0 {
 			sparse = relation.Float(float64(i) * 1e3)
 		}
+		var wide relation.Value
+		switch {
+		case i%31 == 0:
+			wide = relation.Null
+		case i%29 == 0:
+			wide = relation.Float(math.NaN())
+		case i%4 == 0:
+			wide = relation.Int(int64(i) * 1e13)
+		case i%4 == 1:
+			wide = relation.Float(float64(i % 11))
+		case i%4 == 2:
+			wide = relation.Float(2e15 + float64(i) + 0.5)
+		default:
+			wide = relation.Int(int64(i % 11))
+		}
 		row := relation.Tuple{
 			relation.Int(int64(i)),
 			num,
 			relation.String(fmt.Sprintf("c%d", i%7)),
 			sparse,
+			wide,
 		}
 		if err := rel.Insert(row); err != nil {
 			t.Fatal(err)
@@ -75,8 +94,8 @@ func statsEqual(a, b []ColumnStats) bool {
 
 // TestRelationDigestMatchesCollectStats is the core parity contract: a
 // digest advanced over any append schedule must render exactly the stats a
-// fresh whole-relation CollectStats computes — that identity is what lets
-// the serving layer seed the planner's rank cache without rescanning.
+// fresh whole-relation CollectStats computes, whatever the shard size and
+// however the per-shard digests were grown and merged.
 func TestRelationDigestMatchesCollectStats(t *testing.T) {
 	full := digestRel(t, 500)
 	for _, target := range []int{1, 7, 64, 500, 1000} {
@@ -97,6 +116,26 @@ func TestRelationDigestMatchesCollectStats(t *testing.T) {
 				t.Fatalf("target=%d rows=%d: FittedRows = %d", target, upto, d.FittedRows())
 			}
 		}
+	}
+}
+
+// TestColumnStatsOfMatchesCollectStats pins the single-column scan the
+// planner uses against the whole-relation summary, column by column, over
+// every value-kind wrinkle of digestRel.
+func TestColumnStatsOfMatchesCollectStats(t *testing.T) {
+	rel := digestRel(t, 500)
+	all := CollectStats(rel)
+	if len(all) != len(rel.Schema().Columns()) {
+		t.Fatalf("CollectStats returned %d columns, want %d", len(all), len(rel.Schema().Columns()))
+	}
+	for i, want := range all {
+		if got := ColumnStatsOf(rel, i); !reflect.DeepEqual(got, want) {
+			t.Errorf("column %d (%s): ColumnStatsOf = %+v, CollectStats = %+v", i, want.Name, got, want)
+		}
+	}
+	wide := all[len(all)-1]
+	if !wide.Numeric || !wide.HasNaN || wide.NullFrac == 0 || wide.MaxAbs < 1e15 {
+		t.Fatalf("Wide column lost a wrinkle: %+v", wide)
 	}
 }
 

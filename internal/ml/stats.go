@@ -1,10 +1,6 @@
 package ml
 
-import (
-	"math"
-
-	"hyper/internal/relation"
-)
+import "hyper/internal/relation"
 
 // ColumnStats summarizes one relation column for the planner's cost model:
 // the distinct-value count drives selectivity estimates for equality and IN
@@ -34,55 +30,23 @@ type ColumnStats struct {
 	Max float64 `json:"max"`
 }
 
-// CollectStats scans rel once and summarizes every column. This is the same
-// single pass a Frame encode performs; the planner memoizes the result per
-// view, so stats are collected once per materialized view, not per query.
+// ColumnStatsOf scans one column of rel. The per-value step is the
+// digest's observe, so a single-column scan, a whole-relation CollectStats
+// and a merged RelationDigest all agree bit for bit. The planner calls it
+// only for the columns a query reads and memoizes the result per column.
+func ColumnStatsOf(rel *relation.Relation, col int) ColumnStats {
+	d := newColumnDigest(rel.Schema().Columns()[col].Name)
+	for i, n := 0, rel.Len(); i < n; i++ {
+		d.observe(rel.Row(i)[col])
+	}
+	return d.stats()
+}
+
+// CollectStats summarizes every column of rel, one ColumnStatsOf scan each.
 func CollectStats(rel *relation.Relation) []ColumnStats {
-	cols := rel.Schema().Columns()
-	out := make([]ColumnStats, len(cols))
-	n := rel.Len()
-	for c := range cols {
-		st := ColumnStats{
-			Name: cols[c].Name, Rows: n, Numeric: true,
-			Min: math.Inf(1), Max: math.Inf(-1),
-		}
-		distinct := make(map[string]struct{})
-		nulls := 0
-		for i := 0; i < n; i++ {
-			v := rel.Row(i)[c]
-			if v.IsNull() {
-				nulls++
-				continue
-			}
-			distinct[v.Key()] = struct{}{}
-			switch v.Kind() {
-			case relation.KindInt, relation.KindFloat:
-				f := v.AsFloat()
-				if math.IsNaN(f) {
-					st.HasNaN = true
-					continue
-				}
-				if a := math.Abs(f); a > st.MaxAbs {
-					st.MaxAbs = a
-				}
-				if f < st.Min {
-					st.Min = f
-				}
-				if f > st.Max {
-					st.Max = f
-				}
-			default:
-				st.Numeric = false
-			}
-		}
-		st.Card = len(distinct)
-		if n > 0 {
-			st.NullFrac = float64(nulls) / float64(n)
-		}
-		if st.Min > st.Max { // no numeric values seen
-			st.Min, st.Max = 0, 0
-		}
-		out[c] = st
+	out := make([]ColumnStats, len(rel.Schema().Columns()))
+	for c := range out {
+		out[c] = ColumnStatsOf(rel, c)
 	}
 	return out
 }

@@ -14,10 +14,14 @@ import (
 
 // Cache is the bounded fingerprint-keyed plan cache: compiled what-if plans
 // keyed by shape fingerprint over the schema signature, plus the supporting
-// per-view artifacts they execute against (column stats, interned columns,
-// howto attribute ranks). One LRU list orders every artifact kind together;
-// the bound caps total artifacts, so a long-lived session cannot grow the
-// planner's memory without limit.
+// artifacts they execute against (per-view interned columns, and per-column
+// stats). Stats are collected on demand, one column at a time, only for the
+// columns a query reads: the WHEN columns of a what-if (keyed by data
+// identity + view + column) and the HOWTOUPDATE attributes of a how-to
+// (keyed by data identity + base relation + column). A WHEN-less what-if
+// scans nothing. One LRU list orders every artifact kind together; the bound
+// caps total artifacts, so a long-lived session cannot grow the planner's
+// memory without limit.
 //
 // Cache identity is fingerprint + schema signature: hyperql.Fingerprint
 // hashes the signature into the key's domain, so a structurally identical
@@ -50,7 +54,6 @@ const (
 	kindPlan  = "p\x00"
 	kindStats = "s\x00"
 	kindCols  = "c\x00"
-	kindRank  = "r\x00"
 )
 
 // NewCache returns an empty plan cache holding at most max artifacts;
@@ -225,7 +228,7 @@ func Fingerprint(db *relation.Database, q hyperql.Query) string {
 // WhatIf returns the compiled plan for q against the resolved relevant view
 // rel (compiling and caching on miss) and whether it was a cache hit.
 // viewKey is the engine's view cache key; the plan's supporting artifacts
-// (stats, interned columns) are stored under it.
+// (WHEN column stats, interned columns) are stored under it.
 func (c *Cache) WhatIf(db *relation.Database, viewKey string, q *hyperql.WhatIf, rel *relation.Relation) (*WhatIfPlan, bool) {
 	sig := dataKey(db)
 	fp := hyperql.Fingerprint("plan\x00"+sig, q)
@@ -233,8 +236,11 @@ func (c *Cache) WhatIf(db *relation.Database, viewKey string, q *hyperql.WhatIf,
 		return v.(*WhatIfPlan), true
 	}
 	start := time.Now()
-	p := compileWhatIf(q, fp, rel, c.viewStats(sig, viewKey, rel))
-	p.colsKey = kindCols + sig + "\x00" + viewKey
+	scope := sig + "\x00" + viewKey
+	p := compileWhatIf(q, fp, rel, func(col string) (ml.ColumnStats, bool) {
+		return c.colStats(scope, rel, col)
+	})
+	p.colsKey = kindCols + scope
 	c.put(kindPlan+fp, p)
 	ms := float64(time.Since(start).Nanoseconds()) / 1e6
 	c.mu.Lock()
@@ -264,15 +270,21 @@ func (c *Cache) Apply(p *WhatIfPlan, q *hyperql.WhatIf, rel *relation.Relation, 
 	return pushed, true
 }
 
-// viewStats memoizes the one-pass per-column stats of a view.
-func (c *Cache) viewStats(sig, viewKey string, rel *relation.Relation) []ml.ColumnStats {
-	key := kindStats + sig + "\x00" + viewKey
-	if v, ok := c.get(key, false); ok {
-		return v.([]ml.ColumnStats)
+// colStats memoizes the stats of one column of rel under scope (data
+// identity plus the view or base relation rel stands for). ok is false when
+// rel has no such column.
+func (c *Cache) colStats(scope string, rel *relation.Relation, col string) (st ml.ColumnStats, ok bool) {
+	ci, ok := rel.Schema().Index(col)
+	if !ok {
+		return st, false
 	}
-	st := ml.CollectStats(rel)
+	key := kindStats + scope + "\x00" + col
+	if v, hit := c.get(key, false); hit {
+		return v.(ml.ColumnStats), true
+	}
+	st = ml.ColumnStatsOf(rel, ci)
 	c.put(key, st)
-	return st
+	return st, true
 }
 
 // columns returns the interned-column store for a view, creating it on
@@ -291,7 +303,8 @@ func (c *Cache) columns(key string) *viewColumns {
 // estimators are cheapest and its candidates prune fastest), original order
 // breaking ties. It returns nil — meaning "keep the query order" — when the
 // USE clause is a sub-select (no base relation to collect stats from) or an
-// attribute is missing. The rank is memoized per (schema, relation).
+// attribute is missing. Only the ranked attributes' stats are collected,
+// memoized per (data identity, relation, column).
 func (c *Cache) AttrRank(db *relation.Database, use *hyperql.UseClause, attrs []string) map[string]int {
 	if use == nil || use.Table == "" {
 		return nil
@@ -300,25 +313,17 @@ func (c *Cache) AttrRank(db *relation.Database, use *hyperql.UseClause, attrs []
 	if rel == nil {
 		return nil
 	}
-	key := kindRank + dataKey(db) + "\x00" + use.Table
-	var stats []ml.ColumnStats
-	if v, ok := c.get(key, false); ok {
-		stats = v.([]ml.ColumnStats)
-	} else {
-		stats = ml.CollectStats(rel)
-		c.put(key, stats)
-	}
-	card := make(map[string]int, len(stats))
-	for _, st := range stats {
-		card[st.Name] = st.Card
+	scope := dataKey(db) + "\x00" + use.Table
+	card := make(map[string]int, len(attrs))
+	for _, a := range attrs {
+		st, ok := c.colStats(scope, rel, a)
+		if !ok {
+			return nil
+		}
+		card[a] = st.Card
 	}
 	order := make([]string, len(attrs))
 	copy(order, attrs)
-	for _, a := range attrs {
-		if _, ok := card[a]; !ok {
-			return nil
-		}
-	}
 	sort.SliceStable(order, func(i, j int) bool {
 		return card[order[i]] < card[order[j]]
 	})
@@ -327,15 +332,4 @@ func (c *Cache) AttrRank(db *relation.Database, use *hyperql.UseClause, attrs []
 		rank[a] = i
 	}
 	return rank
-}
-
-// SeedAttrRank pre-populates the memoized base-relation stats AttrRank reads,
-// under db's current (version-folded) identity. The MVCC append path calls it
-// with incrementally merged digest stats so that how-to planning against a
-// freshly published snapshot never rescans the base relation.
-func (c *Cache) SeedAttrRank(db *relation.Database, table string, stats []ml.ColumnStats) {
-	if db.Relation(table) == nil {
-		return
-	}
-	c.put(kindRank+dataKey(db)+"\x00"+table, stats)
 }

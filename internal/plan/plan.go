@@ -204,9 +204,14 @@ func validate(e hyperql.Expr, rel *relation.Relation) error {
 	}
 }
 
+// statsFunc returns the stats of one column of the view being planned
+// (ok=false for an unknown column).
+type statsFunc func(col string) (ml.ColumnStats, bool)
+
 // compileWhatIf builds the pushdown program of q's WHEN clause against the
-// resolved view rel using per-column stats for the cost model.
-func compileWhatIf(q *hyperql.WhatIf, fp string, rel *relation.Relation, stats []ml.ColumnStats) *WhatIfPlan {
+// resolved view rel. The cost model asks stats for exactly the columns the
+// pushable WHEN conjuncts compare; a WHEN-less query asks for none.
+func compileWhatIf(q *hyperql.WhatIf, fp string, rel *relation.Relation, stats statsFunc) *WhatIfPlan {
 	p := &WhatIfPlan{Fingerprint: fp, ViewRows: rel.Len()}
 	if q.When == nil {
 		p.explain = renderExplain(p, q)
@@ -218,14 +223,10 @@ func compileWhatIf(q *hyperql.WhatIf, fp string, rel *relation.Relation, stats [
 		p.explain = renderExplain(p, q)
 		return p
 	}
-	byName := make(map[string]ml.ColumnStats, len(stats))
-	for _, st := range stats {
-		byName[st.Name] = st
-	}
 	conjs := SplitAnd(q.When)
 	p.Conjuncts = make([]Conjunct, len(conjs))
 	for i, e := range conjs {
-		p.Conjuncts[i] = classify(e, i, rel, byName)
+		p.Conjuncts[i] = classify(e, i, rel, stats)
 	}
 	// Cost-based ordering: most selective first, stable on original
 	// position. Residual conjuncts take part like any other — validation
@@ -241,7 +242,7 @@ func compileWhatIf(q *hyperql.WhatIf, fp string, rel *relation.Relation, stats [
 // reference and literals becomes a columnar filter, anything else stays
 // residual. Guards that depend only on column stats apply here; guards that
 // depend on the literal value apply at bind time.
-func classify(e hyperql.Expr, pos int, rel *relation.Relation, stats map[string]ml.ColumnStats) Conjunct {
+func classify(e hyperql.Expr, pos int, rel *relation.Relation, stats statsFunc) Conjunct {
 	c := Conjunct{Pos: pos, Op: OpResidual, Sel: 0.5, shape: maskLiterals(e)}
 	switch x := e.(type) {
 	case *hyperql.Binary:
@@ -262,12 +263,12 @@ func classify(e hyperql.Expr, pos int, rel *relation.Relation, stats map[string]
 		if col == nil {
 			return c
 		}
-		st, ok := stats[col.Name]
-		if !ok {
-			return c
-		}
 		op, isRange := compileOp(x.Op, flip)
 		if op == OpResidual {
+			return c
+		}
+		st, ok := stats(col.Name)
+		if !ok {
 			return c
 		}
 		if isRange && (!st.Numeric || st.HasNaN || st.MaxAbs >= maxExactAbs) {
@@ -289,7 +290,7 @@ func classify(e hyperql.Expr, pos int, rel *relation.Relation, stats map[string]
 				return c
 			}
 		}
-		st, ok := stats[col.Name]
+		st, ok := stats(col.Name)
 		if !ok {
 			return c
 		}

@@ -254,7 +254,7 @@ func TestCacheHitReusesPlanAndRebindsLiterals(t *testing.T) {
 
 func TestLRUEviction(t *testing.T) {
 	db, rel := testDB(t)
-	c := NewCache(3) // room for the shared stats artifact + two plans
+	c := NewCache(3) // each shape adds its plan and its column's stats
 	shapes := []string{"Cat = 'a'", "Price > 5", "Qty IN (1)"}
 	qs := make([]*hyperql.WhatIf, len(shapes))
 	for i, s := range shapes {
@@ -333,6 +333,78 @@ func TestAttrRank(t *testing.T) {
 	}
 	if r := c.AttrRank(db, use, []string{"Cat", "Nope"}); r != nil {
 		t.Errorf("missing attribute ranked to %v, want nil", r)
+	}
+}
+
+// statsKeys lists the cached per-column stats entries of c.
+func statsKeys(c *Cache) []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var keys []string
+	for k := range c.entries {
+		if strings.HasPrefix(k, kindStats) {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
+// TestStatsScope pins what a compile pays for: stats are collected per
+// column, only for the columns a query reads, and shared by every shape
+// that reads the same column.
+func TestStatsScope(t *testing.T) {
+	rel := relation.NewRelation("People", relation.MustSchema(
+		relation.Column{Name: "ID", Key: true},
+		relation.Column{Name: "Sex"},
+		relation.Column{Name: "Age"},
+		relation.Column{Name: "Status", Mutable: true},
+	))
+	for i := 0; i < 40; i++ {
+		rel.MustInsert(relation.Int(int64(i)), relation.Int(int64(i%2)),
+			relation.Int(int64(i%4)), relation.Int(int64(i%3)))
+	}
+	db := relation.NewDatabase()
+	db.MustAdd(rel)
+	parse := func(when string) *hyperql.WhatIf {
+		t.Helper()
+		q, err := hyperql.ParseWhatIf("USE People " + when + " UPDATE(Status) = 1 OUTPUT COUNT(Status = 1)")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	c := NewCache(0)
+	compile := func(when string, wantAdded, wantStats int) {
+		t.Helper()
+		before := c.Len()
+		if _, hit := c.WhatIf(db, "v", parse(when), rel); hit {
+			t.Fatalf("%q: first compile hit the cache", when)
+		}
+		if got := c.Len() - before; got != wantAdded {
+			t.Errorf("%q added %d artifacts, want %d", when, got, wantAdded)
+		}
+		if got := len(statsKeys(c)); got != wantStats {
+			t.Errorf("after %q: %d stats entries %q, want %d", when, got, statsKeys(c), wantStats)
+		}
+	}
+	compile("", 1, 0)                         // the plan alone: no column scanned
+	compile("WHEN Sex = 1 AND Age = 2", 3, 2) // the plan + Sex + Age
+	compile("WHEN Age > 1", 1, 2)             // Age's stats are reused
+	compile("WHEN Sex + Age = 1", 1, 2)       // residual: no stats asked for
+	compile("WHEN Status IN (0, 1)", 2, 3)    // the plan + Status
+
+	c = NewCache(0)
+	if rank := c.AttrRank(db, &hyperql.UseClause{Table: "People"}, []string{"Age", "Sex"}); rank["Sex"] != 0 || rank["Age"] != 1 {
+		t.Fatalf("rank = %v, want Sex=0 Age=1", rank)
+	}
+	keys := statsKeys(c)
+	if len(keys) != 2 || c.Len() != 2 {
+		t.Fatalf("AttrRank cached %d artifacts, stats %q; want exactly Age and Sex", c.Len(), keys)
+	}
+	for _, k := range keys {
+		if !strings.HasSuffix(k, "\x00Age") && !strings.HasSuffix(k, "\x00Sex") {
+			t.Errorf("AttrRank cached stats for an unranked column: %q", k)
+		}
 	}
 }
 

@@ -3,8 +3,12 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"regexp"
 	"testing"
+
+	"hyper/internal/hyperql"
 )
 
 const germanPlanned = `USE German WHEN Age = 2 UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)`
@@ -209,5 +213,97 @@ func TestServerPlanCacheAcrossAppend(t *testing.T) {
 	afterHead := planStats()
 	if afterHead.Compiles != afterPinned.Compiles+1 {
 		t.Fatalf("head explain compiles %d, want %d", afterHead.Compiles, afterPinned.Compiles+1)
+	}
+}
+
+// TestServerHowToRankAfterAppend pins how-to planning on a grown head: after
+// appends, the head version ranks its HOWTOUPDATE attributes from its own
+// rows and answers exactly as a fresh session holding the same rows, at
+// shard fan-outs 1 and 4. The second append widens Savings past Status, so
+// a rank computed from an older version's rows would come out reversed.
+func TestServerHowToRankAfterAppend(t *testing.T) {
+	newServer := func() (*Server, string) {
+		srv := New(Config{})
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(ts.Close)
+		return srv, ts.URL
+	}
+	grownSrv, grown := newServer()
+	goldenSrv, golden := newServer()
+
+	wide := "Status,Savings,Credit\n"
+	for i := 0; i < 40; i++ {
+		wide += fmt.Sprintf("%d,%d,%d\n", i%4, 3+i%5, i%2)
+	}
+	createLoansSession(t, grown, "s", 600)
+	appendLoans(t, grown, "s", 600, 900)
+	if st, p := distPost(t, grown, "/v1/sessions/s/rows", AppendRequest{
+		Tables: []AppendTable{{Name: "Loans", Data: wide}},
+	}, nil); st != http.StatusOK {
+		t.Fatalf("append: %d %s", st, p)
+	}
+	allRows := loansCSV(0, 900) + wide[len("Status,Savings,Credit\n"):]
+	if st, p := distPost(t, golden, "/v1/sessions", CreateSessionRequest{
+		Name: "all",
+		CSV: &CSVDatabase{
+			Tables: []CSVTable{{Name: "Loans", Data: allRows}},
+			Model: &CSVModel{Edges: [][2]string{
+				{"Loans.Status", "Loans.Credit"},
+				{"Loans.Savings", "Loans.Credit"},
+			}},
+		},
+		Options: &SessionOptions{Seed: 7, ShardRows: 256},
+	}, nil); st != http.StatusOK {
+		t.Fatalf("create golden session: %d %s", st, p)
+	}
+
+	const query = `USE Loans HOWTOUPDATE Status, Savings LIMIT UPDATES <= 1 TOMAXIMIZE COUNT(Credit = 1)`
+	q, err := hyperql.ParseHowTo(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// rankOf reads the attribute rank of a session version and reports
+	// whether it was already collected (a repeat adds nothing to the cache).
+	rankOf := func(srv *Server, name string, version int) (map[string]int, bool) {
+		t.Helper()
+		e, err := srv.session(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sn := e.head()
+		if version > 0 {
+			sn = e.snaps[version-1]
+		}
+		pc := sn.sess.PlanCache()
+		before := pc.Len()
+		rank := pc.AttrRank(sn.sess.DB(), q.Use, q.Attrs)
+		return rank, pc.Len() == before
+	}
+	if r, _ := rankOf(grownSrv, "s", 1); r["Savings"] != 0 {
+		t.Fatalf("version 1 rank %v, want Savings first (the reversal below would be vacuous)", r)
+	}
+	for _, shards := range []int{1, 4} {
+		howto := func(base, session string) HowToResponse {
+			t.Helper()
+			var res HowToResponse
+			st, p := distPost(t, base, "/v1/sessions/"+session+"/howto", QueryRequest{Query: query, Shards: shards}, &res)
+			if st != http.StatusOK {
+				t.Fatalf("shards=%d: howto %s: %d %s", shards, session, st, p)
+			}
+			res.Snapshot, res.TotalMs = 0, 0
+			return res
+		}
+		got, want := howto(grown, "s"), howto(golden, "all")
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("shards=%d: grown head how-to diverges from fresh session:\n%+v\nvs\n%+v", shards, got, want)
+		}
+		gotRank, gotCached := rankOf(grownSrv, "s", 0)
+		wantRank, wantCached := rankOf(goldenSrv, "all", 0)
+		if gotRank["Status"] != 0 || !reflect.DeepEqual(gotRank, wantRank) {
+			t.Fatalf("shards=%d: head rank %v, fresh session rank %v, want Status first in both", shards, gotRank, wantRank)
+		}
+		if !gotCached || !wantCached {
+			t.Fatalf("shards=%d: the how-to did not rank its attributes (grown %v, fresh %v)", shards, gotCached, wantCached)
+		}
 	}
 }
