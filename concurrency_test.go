@@ -1,11 +1,14 @@
 package hyper
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"hyper/internal/dataset"
+	"hyper/internal/obs"
 )
 
 // TestSessionConcurrentQueries hammers one cache-sharing Session from many
@@ -96,34 +99,46 @@ func TestSessionConcurrentQueries(t *testing.T) {
 
 // TestSessionCacheSpeedsUpRepeatWhatIf checks the serving-path property the
 // daemon relies on: a repeated what-if against a cache-sharing session skips
-// view construction and estimator training, so the warm run is measurably
-// faster than the cold run.
+// view construction and estimator training. Reuse is checked exactly — each
+// warm run trains no model and hits the cache at least three times — and
+// the speed-up against the fastest of three warm runs, so one descheduled
+// warm run on a loaded machine cannot fail it.
 func TestSessionCacheSpeedsUpRepeatWhatIf(t *testing.T) {
 	g := dataset.GermanSyn(8000, 7)
 	s := NewSessionWithCache(g.DB, g.Model, nil)
 	s.SetOptions(Options{Seed: 7})
 	const src = `USE German UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1) FOR PRE(Age) = 2`
+	run := func() (*WhatIfResult, uint64, uint64) {
+		t.Helper()
+		meter := obs.NewMeter()
+		hits := s.Cache().Stats().Hits
+		res, err := s.WhatIfContext(obs.ContextWithMeter(context.Background(), meter), src, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, meter.JSON().FitsTrained, s.Cache().Stats().Hits - hits
+	}
 
-	cold, err := s.WhatIf(src)
-	if err != nil {
-		t.Fatal(err)
+	cold, coldFits, _ := run()
+	if coldFits == 0 {
+		t.Fatal("cold run trained no model")
 	}
-	warm, err := s.WhatIf(src)
-	if err != nil {
-		t.Fatal(err)
+	minWarm := time.Duration(math.MaxInt64)
+	for i := 0; i < 3; i++ {
+		warm, fits, hits := run()
+		if warm.Value != cold.Value {
+			t.Fatalf("warm value %v != cold value %v", warm.Value, cold.Value)
+		}
+		if fits != 0 {
+			t.Errorf("warm run %d trained %d models, want 0 (estimator not reused)", i, fits)
+		}
+		if hits < 3 {
+			t.Errorf("warm run %d hit the cache %d times, want >= 3 (view, blocks, estimator)", i, hits)
+		}
+		minWarm = min(minWarm, warm.Total)
 	}
-	if warm.Value != cold.Value {
-		t.Fatalf("warm value %v != cold value %v", warm.Value, cold.Value)
-	}
-	if warm.TrainTime >= cold.TrainTime && cold.TrainTime > 0 {
-		t.Errorf("warm training %v not faster than cold %v (estimator not reused?)", warm.TrainTime, cold.TrainTime)
-	}
-	if warm.Total > cold.Total {
-		t.Errorf("warm run %v slower than cold run %v", warm.Total, cold.Total)
-	}
-	st := s.Cache().Stats()
-	if st.Hits < 3 {
-		t.Errorf("warm run hit the cache %d times, want >= 3 (view, blocks, estimator)", st.Hits)
+	if minWarm > cold.Total {
+		t.Errorf("fastest warm run %v slower than cold run %v", minWarm, cold.Total)
 	}
 
 	// A cache-less session must not share artifacts across queries.

@@ -282,6 +282,10 @@ func (s *Session) Version() int64 { return s.db.Version() }
 // Appended tuples are validated under the same rules as building the
 // relation row by row (arity, kind coercion, primary-key uniqueness); any
 // failure leaves every published version untouched and returns the error.
+//
+// Appending to the newest session costs O(appended rows): every version
+// shares one append-only row chain per relation. Appending to a session
+// that has already been appended to forks its rows, which costs a copy.
 func (s *Session) Append(rows map[string][]Tuple) (*Session, error) {
 	db, err := s.db.Extend(rows)
 	if err != nil {

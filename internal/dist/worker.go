@@ -311,8 +311,11 @@ func (w *Worker) handlePutFrame(rw http.ResponseWriter, r *http.Request) {
 
 // putDeltaFrame applies an incremental frame: the appended rows extend the
 // resident base frame's database into a new MVCC version under a fresh
-// content address. The base's relations are frozen prefixes (Extend shares
-// them), so queries running against the base frame are never perturbed.
+// content address. Extend never writes below a version's length, so queries
+// running against the base frame are never perturbed. When the base is
+// still its chain's head the delta costs O(appended rows); a base whose
+// child was stored before (the child was evicted and its delta re-shipped)
+// is no longer the head, and Extend forks a copy of its rows instead.
 func (w *Worker) putDeltaFrame(rw http.ResponseWriter, id string, body []byte) {
 	d, appends, err := DecodeDelta(body)
 	if err != nil {

@@ -5,7 +5,9 @@ import (
 	"testing"
 )
 
-func TestRelationExtendCopyOnWrite(t *testing.T) {
+// TestRelationExtendSharesPrefix: an extension shares the base's tuples
+// and key index, and the base never sees the appended rows.
+func TestRelationExtendSharesPrefix(t *testing.T) {
 	base, err := ReadCSVKeyed("T", strings.NewReader("ID,V\n1,a\n2,b\n"), []string{"ID"})
 	if err != nil {
 		t.Fatal(err)

@@ -109,9 +109,11 @@ func (d *Database) SetVersion(v int64) { d.version = v }
 
 // Extend returns a new database with the given tuples appended to the named
 // relations and the version bumped by one. Untouched relations are shared by
-// pointer (they are frozen prefixes under append-only growth); extended
-// relations get a fresh row index while sharing tuple storage, so readers
-// holding the old version are never perturbed.
+// pointer; extended relations are new versions of the same append-only
+// chain (see Relation.Extend), so an append costs O(appended rows) and
+// readers holding the old version are never perturbed. On error no version
+// is published, though a relation whose batch was committed before another
+// relation's failed forks on its next append.
 func (d *Database) Extend(appends map[string][]Tuple) (*Database, error) {
 	out := &Database{
 		rels:    make(map[string]*Relation, len(d.rels)),

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // Tuple is one row of a relation; index i holds the value of schema column i.
@@ -15,11 +17,35 @@ func (t Tuple) Clone() Tuple { return append(Tuple(nil), t...) }
 // Relation is a named table: a schema plus an ordered set of tuples. Tuple
 // order is deterministic (insertion order) so that all algorithms downstream
 // are reproducible; set semantics are enforced on primary keys only.
+//
+// A relation is built with Insert and published by its first Extend. Every
+// version Extend derives shares one append-only chain: a version is the
+// clipped prefix chain.rows[:n:n] plus the chain's key index, read only
+// below n. Published versions are immutable; Insert on one is an error.
 type Relation struct {
 	name   string
 	schema *Schema
 	rows   []Tuple
-	keyset map[string]int // key encoding -> row index
+	// keyset maps key encodings to row indexes. Until publication it is
+	// the relation's private index; once published it is frozen, and on a
+	// chained version it is the chain's base index.
+	keyset    map[string]int
+	chain     *chain // nil until the relation is derived by Extend
+	published atomic.Bool
+}
+
+// chain is the append-only row storage every version of one relation
+// shares. Its key index has two parts: base, the frozen index of the root
+// relation the chain grew from, read without a lock; and keys, the index of
+// every row appended since, guarded by mu. Only Extend writes, and only on
+// the head version (the one whose length equals len(rows)); extending any
+// other version forks a new chain, so a published prefix never changes.
+type chain struct {
+	base map[string]int
+
+	mu   sync.RWMutex
+	rows []Tuple
+	keys map[string]int
 }
 
 // NewRelation creates an empty relation with the given name and schema.
@@ -62,24 +88,16 @@ func (r *Relation) keyOf(t Tuple) string {
 }
 
 // Insert appends a tuple. It validates arity and kinds (coercing where a
-// standard conversion exists) and rejects duplicate primary keys.
+// standard conversion exists) and rejects duplicate primary keys. A
+// published relation (one that Extend has derived from or produced) is
+// immutable, and Insert on it is an error.
 func (r *Relation) Insert(t Tuple) error {
-	if len(t) != r.schema.Len() {
-		return fmt.Errorf("relation %s: tuple arity %d != schema arity %d", r.name, len(t), r.schema.Len())
+	if r.published.Load() {
+		return fmt.Errorf("relation %s: cannot insert into a published version; use Extend", r.name)
 	}
-	row := make(Tuple, len(t))
-	for i, v := range t {
-		want := r.schema.Col(i).Kind
-		if want == KindNull || v.IsNull() || v.Kind() == want {
-			row[i] = v
-			continue
-		}
-		c := Coerce(v, want)
-		if c.IsNull() {
-			return fmt.Errorf("relation %s: column %s: cannot coerce %s %q to %s",
-				r.name, r.schema.Col(i).Name, v.Kind(), v.String(), want)
-		}
-		row[i] = c
+	row, err := r.coerce(t)
+	if err != nil {
+		return err
 	}
 	k := r.keyOf(row)
 	if _, dup := r.keyset[k]; dup {
@@ -90,6 +108,29 @@ func (r *Relation) Insert(t Tuple) error {
 	return nil
 }
 
+// coerce validates t's arity and kinds against the schema and returns the
+// row to store, with values coerced where a standard conversion exists.
+func (r *Relation) coerce(t Tuple) (Tuple, error) {
+	if len(t) != r.schema.Len() {
+		return nil, fmt.Errorf("relation %s: tuple arity %d != schema arity %d", r.name, len(t), r.schema.Len())
+	}
+	row := make(Tuple, len(t))
+	for i, v := range t {
+		want := r.schema.Col(i).Kind
+		if want == KindNull || v.IsNull() || v.Kind() == want {
+			row[i] = v
+			continue
+		}
+		c := Coerce(v, want)
+		if c.IsNull() {
+			return nil, fmt.Errorf("relation %s: column %s: cannot coerce %s %q to %s",
+				r.name, r.schema.Col(i).Name, v.Kind(), v.String(), want)
+		}
+		row[i] = c
+	}
+	return row, nil
+}
+
 // MustInsert inserts and panics on error; for generators and tests.
 func (r *Relation) MustInsert(vals ...Value) {
 	if err := r.Insert(Tuple(vals)); err != nil {
@@ -97,34 +138,101 @@ func (r *Relation) MustInsert(vals ...Value) {
 	}
 }
 
-// Extend returns a new relation holding this relation's rows plus the given
-// tuples. The receiver is never mutated: the row slice and key index are
-// copied (tuple storage is shared), so readers holding the old relation see
-// a frozen prefix while the extension validates and appends under exactly
-// the Insert rules — arity, kind coercion, and primary-key uniqueness
-// against the full (old + new) row set.
+// Extend returns a new version holding this relation's rows plus the given
+// tuples, validated under exactly the Insert rules: arity, kind coercion,
+// and primary-key uniqueness against the full (old + new) row set. The
+// receiver is never mutated and a failed batch publishes nothing.
+//
+// Extend costs O(len(tuples)): the batch is staged privately, then appended
+// to the receiver's shared chain when the receiver is its head. Extending a
+// relation that has no chain yet, or a version that is no longer the head
+// (one that an earlier Extend already grew), forks a new chain holding a
+// copy of the receiver's row pointers; tuple storage is always shared.
 func (r *Relation) Extend(tuples []Tuple) (*Relation, error) {
-	out := &Relation{
-		name:   r.name,
-		schema: r.schema,
-		rows:   append(make([]Tuple, 0, len(r.rows)+len(tuples)), r.rows...),
-		keyset: make(map[string]int, len(r.keyset)+len(tuples)),
-	}
-	for k, v := range r.keyset {
-		out.keyset[k] = v
-	}
-	for _, t := range tuples {
-		if err := out.Insert(t); err != nil {
+	rows := make([]Tuple, len(tuples))
+	keys := make([]string, len(tuples))
+	batch := make(map[string]struct{}, len(tuples))
+	for i, t := range tuples {
+		row, err := r.coerce(t)
+		if err != nil {
 			return nil, err
 		}
+		k := r.keyOf(row)
+		if _, dup := batch[k]; dup {
+			return nil, fmt.Errorf("relation %s: duplicate primary key %v", r.name, row)
+		}
+		batch[k] = struct{}{}
+		rows[i], keys[i] = row, k
 	}
+	if c := r.chain; c != nil {
+		c.mu.Lock()
+		if len(c.rows) == len(r.rows) {
+			defer c.mu.Unlock()
+			return r.commit(c, rows, keys)
+		}
+		c.mu.Unlock()
+	}
+	c := r.fork()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out, err := r.commit(c, rows, keys)
+	if err == nil {
+		r.published.Store(true)
+	}
+	return out, err
+}
+
+// fork returns a new chain whose head is a copy of r: the base index is
+// shared (it is frozen), appended keys below r's length are copied, and
+// the row pointers are clipped so the first append reallocates.
+func (r *Relation) fork() *chain {
+	n := len(r.rows)
+	c := &chain{base: r.keyset, rows: r.rows[:n:n], keys: make(map[string]int)}
+	if old := r.chain; old != nil {
+		old.mu.RLock()
+		for k, i := range old.keys {
+			if i < n {
+				c.keys[k] = i
+			}
+		}
+		old.mu.RUnlock()
+	}
+	return c
+}
+
+// commit appends a staged batch to chain c, whose head r must be, under c's
+// write lock. Keys are checked against the whole index before anything is
+// written, so a conflicting batch leaves the chain untouched.
+func (r *Relation) commit(c *chain, rows []Tuple, keys []string) (*Relation, error) {
+	for i, k := range keys {
+		_, inBase := c.base[k]
+		_, inKeys := c.keys[k]
+		if inBase || inKeys {
+			return nil, fmt.Errorf("relation %s: duplicate primary key %v", r.name, rows[i])
+		}
+	}
+	n := len(c.rows)
+	for i, k := range keys {
+		c.keys[k] = n + i
+	}
+	c.rows = append(c.rows, rows...)
+	out := &Relation{name: r.name, schema: r.schema, rows: c.rows[:len(c.rows):len(c.rows)], keyset: c.base, chain: c}
+	out.published.Store(true)
 	return out, nil
 }
 
 // LookupKey returns the row index of the tuple whose primary key matches the
-// key attributes of t, or -1.
+// key attributes of t, or -1. On a chained version, rows appended after it
+// are invisible: only indexes below Len() are returned.
 func (r *Relation) LookupKey(t Tuple) int {
-	if i, ok := r.keyset[r.keyOf(t)]; ok {
+	k := r.keyOf(t)
+	i, ok := r.keyset[k]
+	if !ok && r.chain != nil {
+		r.chain.mu.RLock()
+		i, ok = r.chain.keys[k]
+		r.chain.mu.RUnlock()
+	}
+	if ok && i < len(r.rows) {
 		return i
 	}
 	return -1
@@ -198,7 +306,8 @@ func (r *Relation) Filter(keep func(Tuple) bool) *Relation {
 }
 
 // Clone returns a deep copy of the relation; tuples are copied so the clone
-// can be mutated independently (used to materialize possible worlds).
+// can be mutated independently (used to materialize possible worlds). The
+// clone is unpublished and indexes only this version's keys.
 func (r *Relation) Clone() *Relation {
 	out := NewRelation(r.name, r.schema)
 	out.rows = make([]Tuple, len(r.rows))
@@ -207,6 +316,16 @@ func (r *Relation) Clone() *Relation {
 	}
 	for k, v := range r.keyset {
 		out.keyset[k] = v
+	}
+	if c := r.chain; c != nil {
+		n := len(r.rows)
+		c.mu.RLock()
+		for k, v := range c.keys {
+			if v < n {
+				out.keyset[k] = v
+			}
+		}
+		c.mu.RUnlock()
 	}
 	return out
 }

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -21,11 +22,13 @@ func loansRow(i int) string {
 }
 
 func loansCSV(lo, hi int) string {
-	csv := "Status,Savings,Credit\n"
+	var b strings.Builder
+	b.WriteString("Status,Savings,Credit\n")
 	for i := lo; i < hi; i++ {
-		csv += loansRow(i) + "\n"
+		b.WriteString(loansRow(i))
+		b.WriteByte('\n')
 	}
-	return csv
+	return b.String()
 }
 
 // createLoansSession creates a CSV session holding rows [0,n) of the Loans

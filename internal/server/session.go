@@ -413,10 +413,12 @@ type AppendResponse struct {
 }
 
 // handleAppendRows is POST /v1/sessions/{name}/rows: parse the appended CSV
-// rows against the live schema, extend the database copy-on-write (shared
-// tuple storage, bumped version), advance the per-relation stats digests
-// over only the new tail shards, and atomically publish the new head.
-// Running queries hold their resolved snapshotEntry and are unaffected.
+// rows against the live schema, extend the head database (each relation's
+// new version appends to the chain it shares with every earlier version, in
+// O(appended rows), and the version is bumped), advance the per-relation
+// stats digests over only the new tail shards, and atomically publish the
+// new head. Running queries hold their resolved snapshotEntry, whose rows
+// are a prefix no append writes to, and are unaffected.
 func (s *Server) handleAppendRows(r *http.Request) (any, error) {
 	e, err := s.session(r.PathValue("name"))
 	if err != nil {
