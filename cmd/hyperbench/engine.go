@@ -62,7 +62,7 @@ type engineBenchResult struct {
 	// cold_whatif_ms by cmd/benchguard. ColdWhatIfUnplannedMs is that
 	// interleaved unplanned side and PlannerOverheadPct the planned cost over
 	// it, gated within-run (<= 10%, 0.25ms grace). WarmPlanCacheMs is the
-	// same query repeated over shared engine + plan caches (plan-cache hit,
+	// same query repeated over one shared cache (plan-cache hit,
 	// view and estimators memoized); PlanCacheSpeedup = planned-cold / warm,
 	// gated >= 1.5x within-run. Planned, warm, and unplanned results are
 	// bit-identical — checked at shards=1 and 4, not assumed.
@@ -166,6 +166,13 @@ func medianMs(reps int, fn func() error) (float64, error) {
 	return times[len(times)/2], nil
 }
 
+// plannedOptions returns engine options with a fresh artifact cache and a
+// plan cache over it.
+func plannedOptions(seed int64, shards int) engine.Options {
+	c := engine.NewCache()
+	return engine.Options{Seed: seed, Shards: shards, Cache: c, Plans: plan.NewCache(c)}
+}
+
 // runEngine benchmarks the evaluation hot path off the HTTP stack: cold
 // what-if latency, how-to wall time (parallel and serial), estimator
 // fit/predict allocation counts, and a shard sweep, written to out as JSON.
@@ -262,15 +269,13 @@ func runEngine(scale float64, seed int64, shards int, out string) error {
 		return err
 	}
 
-	// Planner cold/warm pair. Cold: fresh engine + plan caches every rep, so
+	// Planner cold/warm pair. Cold: a fresh cache every rep, so
 	// each one pays stats collection, plan compilation, and the pushdown scan
 	// — interleaved with the unplanned path so drift hits both sides.
 	// Planning is execution-only, so the planned value must stay
 	// bit-identical to the unplanned one.
 	plannedMs, unplannedMs, err := interleavedMs(engineBenchReps, func() error {
-		r, err := engine.Evaluate(g.DB, g.Model, qCold, engine.Options{
-			Seed: seed, Shards: shards, Cache: engine.NewCache(), Plans: plan.NewCache(0),
-		})
+		r, err := engine.Evaluate(g.DB, g.Model, qCold, plannedOptions(seed, shards))
 		if err != nil {
 			return err
 		}
@@ -292,10 +297,10 @@ func runEngine(scale float64, seed int64, shards int, out string) error {
 	res.ColdWhatIfUnplannedMs = unplannedMs
 	res.PlannerOverheadPct = (plannedMs - unplannedMs) / unplannedMs * 100
 
-	// Warm: one shared cache pair, one untimed compile-and-train rep, then
+	// Warm: one shared cache, one untimed compile-and-train rep, then
 	// timed repeats that must be served from the plan cache (hit counter and
 	// result identity both checked, at the headline fan-out and at 1 and 4).
-	warmOpts := engine.Options{Seed: seed, Shards: shards, Cache: engine.NewCache(), Plans: plan.NewCache(0)}
+	warmOpts := plannedOptions(seed, shards)
 	if _, err := engine.Evaluate(g.DB, g.Model, qCold, warmOpts); err != nil {
 		return err
 	}
@@ -315,7 +320,7 @@ func runEngine(scale float64, seed int64, shards int, out string) error {
 	if err != nil {
 		return err
 	}
-	if st := warmOpts.Plans.Stats(); st.Hits == 0 {
+	if st := warmOpts.Cache.PlanStats(); st.Hits == 0 {
 		return fmt.Errorf("plan cache recorded no hits across warm reps: %+v", st)
 	}
 	for _, sw := range []int{1, 4} {
@@ -347,7 +352,7 @@ func runEngine(scale float64, seed int64, shards int, out string) error {
 		}
 		return err
 	}
-	plannedOpts := engine.Options{Seed: seed, Shards: shards, Cache: engine.NewCache(), Plans: plan.NewCache(0)}
+	plannedOpts := plannedOptions(seed, shards)
 	unplannedOpts := engine.Options{Seed: seed, Shards: shards, Cache: engine.NewCache()}
 	compiled := false
 	res.WarmPlannedMatchedMs, res.WarmUnplannedMatchedMs, err = interleavedMs(tracingOverheadReps, func() error {

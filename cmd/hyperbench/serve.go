@@ -123,12 +123,12 @@ func runServe(scale float64, seed int64, nQueries, conc int, out string) error {
 	// Cold vs. warm: the first evaluation pays view + training, the repeat
 	// is served from the shared cache.
 	cold := time.Now()
-	if err := post("/v1/whatif", server.QueryRequest{Session: "bench", Query: serveQueries[0]}, nil); err != nil {
+	if err := post("/v1/sessions/bench/whatif", server.QueryRequest{Query: serveQueries[0]}, nil); err != nil {
 		return err
 	}
 	coldMs := float64(time.Since(cold)) / float64(time.Millisecond)
 	warm := time.Now()
-	if err := post("/v1/whatif", server.QueryRequest{Session: "bench", Query: serveQueries[0]}, nil); err != nil {
+	if err := post("/v1/sessions/bench/whatif", server.QueryRequest{Query: serveQueries[0]}, nil); err != nil {
 		return err
 	}
 	warmMs := float64(time.Since(warm)) / float64(time.Millisecond)
@@ -152,9 +152,8 @@ func runServe(scale float64, seed int64, nQueries, conc int, out string) error {
 			defer wg.Done()
 			for i := range idx {
 				t0 := time.Now()
-				err := post("/v1/whatif", server.QueryRequest{
-					Session: "bench",
-					Query:   serveQueries[i%len(serveQueries)],
+				err := post("/v1/sessions/bench/whatif", server.QueryRequest{
+					Query: serveQueries[i%len(serveQueries)],
 				}, nil)
 				latencies[i] = time.Since(t0)
 				if err != nil {

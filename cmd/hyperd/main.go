@@ -9,7 +9,7 @@
 //
 //	hyperd -addr :8080 -preload toy,german
 //	curl localhost:8080/v1/datasets
-//	curl -X POST localhost:8080/v1/whatif -d '{"session":"german","query":"USE German UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)"}'
+//	curl -X POST localhost:8080/v1/sessions/german/whatif -d '{"query":"USE German UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)"}'
 //	curl -X POST localhost:8080/v1/jobs -d '{"session":"german","kind":"howto","query":"USE German HOWTOUPDATE Status LIMIT UPDATES <= 1 TOMAXIMIZE COUNT(Credit = 1)"}'
 //	curl localhost:8080/v1/stats
 //
@@ -62,8 +62,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	cacheEntries := flag.Int("cache-entries", 512, "per-session cache bound in artifacts (-1 = unbounded)")
-	planCacheEntries := flag.Int("plan-cache-entries", 256, "per-session compiled-plan cache bound in artifacts (-1 = unbounded)")
+	cacheEntries := flag.Int("cache-entries", 512, "per-session cache bound in artifacts of every kind: views, blocks, estimators, plans, column stats, interned columns (-1 = unbounded)")
 	workers := flag.Int("batch-workers", 0, "batch worker-pool size (0 = GOMAXPROCS)")
 	maxSessions := flag.Int("max-sessions", 64, "maximum live sessions")
 	jobWorkers := flag.Int("job-workers", 2, "async job worker-pool size")
@@ -117,7 +116,6 @@ func main() {
 
 	cfg := server.Config{
 		CacheEntries:        *cacheEntries,
-		PlanCacheEntries:    *planCacheEntries,
 		BatchWorkers:        *workers,
 		MaxSessions:         *maxSessions,
 		JobWorkers:          *jobWorkers,

@@ -189,13 +189,14 @@ type Cache = engine.Cache
 // CacheStats reports cache hit/miss/eviction counters.
 type CacheStats = engine.CacheStats
 
-// PlanCache is the bounded, fingerprint-keyed compiled-plan cache: repeat
-// query shapes skip planning, WHEN predicates push down into columnar
-// scans, and results stay bit-identical to unplanned evaluation. See
-// internal/plan for the contract.
+// PlanCache is the fingerprint-keyed compiled-plan cache: repeat query
+// shapes skip planning, WHEN predicates push down into columnar scans, and
+// results stay bit-identical to unplanned evaluation. Its artifacts live in
+// a Cache. See internal/plan for the contract.
 type PlanCache = plan.Cache
 
-// PlanCacheStats reports plan-cache hit/miss/eviction/compile counters.
+// PlanCacheStats reports plan-cache hit/miss/eviction/compile counters
+// (Cache.PlanStats).
 type PlanCacheStats = plan.Stats
 
 // NewCache returns an unbounded query-artifact cache.
@@ -205,9 +206,10 @@ func NewCache() *Cache { return engine.NewCache() }
 // past max entries (max <= 0 means unbounded).
 func NewCacheBounded(max int) *Cache { return engine.NewCacheBounded(max) }
 
-// NewPlanCache returns a compiled-plan cache evicting least-recently-used
-// artifacts past max entries (max <= 0 means unbounded).
-func NewPlanCache(max int) *PlanCache { return plan.NewCache(max) }
+// NewPlanCache returns a compiled-plan cache keeping its plans, column
+// stats and interned columns in cache, under cache's one bound. Pass the
+// session's own Cache.
+func NewPlanCache(cache *Cache) *PlanCache { return plan.NewCache(cache) }
 
 // PlanFingerprint returns the 16-hex shape fingerprint that keys src's
 // compiled plan for sessions over db (plan-cache identity is this
@@ -246,9 +248,10 @@ func NewSessionWithCache(db *Database, model *CausalModel, cache *Cache) *Sessio
 func (s *Session) Cache() *Cache { return s.cache }
 
 // SetPlanCache attaches a compiled-plan cache shared by the session's
-// queries (and by sessions later derived with With). Like the artifact
-// cache it must only serve queries against this session's database; drop it
-// with the session. A nil argument detaches planning.
+// queries (and by sessions later derived with With); build it with
+// NewPlanCache(s.Cache()) so plans share the session cache's bound. Like the
+// artifact cache it must only serve queries against this session's
+// database; drop it with the session. A nil argument detaches planning.
 func (s *Session) SetPlanCache(p *PlanCache) { s.plans = p }
 
 // PlanCache returns the session's compiled-plan cache (nil when planning is

@@ -1,54 +1,86 @@
 package engine
 
 import (
+	"bytes"
 	"strconv"
 	"strings"
 	"sync"
+
+	"hyper/internal/plan"
 )
 
-// Cache memoizes the expensive, update-constant-independent artifacts of
-// what-if evaluation across related queries: the materialized relevant view,
-// the block decomposition, and the trained estimator set. The how-to engine
-// evaluates one candidate what-if query per permissible update (Definition
-// 7); all candidates for the same attribute set share the USE/WHEN/FOR
-// clauses and therefore the same view, blocks, features, and training
-// labels — only the prediction point changes. Sharing a Cache makes the
-// how-to IP construction train each regressor once, matching the paper's
-// "training a regression function over the dataset" description of the IP
-// objective (Section 4.3).
+// Cache is a session's one artifact store. It memoizes the expensive,
+// update-constant-independent artifacts of what-if evaluation across related
+// queries: the materialized relevant view, the block decomposition, and the
+// trained estimator set. The how-to engine evaluates one candidate what-if
+// query per permissible update (Definition 7); all candidates for the same
+// attribute set share the USE/WHEN/FOR clauses and therefore the same view,
+// blocks, features, and training labels — only the prediction point
+// changes. Sharing a Cache makes the how-to IP construction train each
+// regressor once, matching the paper's "training a regression function over
+// the dataset" description of the IP objective (Section 4.3).
 //
-// A long-lived serving process (cmd/hyperd) shares one Cache per session
-// across every query against that session, so the cache is bounded: when a
-// maximum entry count is set, the least recently used artifact is evicted
-// on insertion past the bound. Hit/miss/eviction counters are maintained
-// for observability (the daemon's /v1/stats endpoint reports them).
+// A Cache is also the plan.Store behind a plan.Cache built over it
+// (plan.NewCache(c)): compiled plans, per-column stats and interned view
+// columns live here under their own kinds. One LRU list orders every kind
+// together and one bound caps them all, so a long-lived serving process
+// (cmd/hyperd, one Cache per session) cannot grow a session's memory
+// without limit: past the bound, the least recently used artifact of any
+// kind is evicted. Hit/miss/eviction/entry counters are kept per kind;
+// Stats reports the engine's kinds and PlanStats the planner's.
 //
 // All methods are safe for concurrent use. A Cache must only be reused
 // across queries against the same database and causal model.
 type Cache struct {
 	mu      sync.Mutex
-	entries map[string]*cacheEntry
+	entries map[cacheKey]*cacheEntry
 	head    *cacheEntry // most recently used
 	tail    *cacheEntry // least recently used
 	max     int         // maximum entries; 0 = unbounded
-
-	hits, misses, evictions uint64
+	counts  [len(kinds)]kindCounts
 }
 
-// cacheEntry is a node of the intrusive LRU list. One list orders all three
-// artifact kinds together; keys are kind-prefixed so they cannot collide.
+// cacheKey is an artifact's identity: its kind and its key within the kind.
+type cacheKey struct {
+	kind byte
+	key  string
+}
+
+// cacheEntry is a node of the intrusive LRU list.
 type cacheEntry struct {
-	key        string
+	cacheKey
+	slot       int // the kind's index in kinds
 	val        any
 	prev, next *cacheEntry
 }
 
-// Key prefixes per artifact kind.
+// kindCounts are the counters of one artifact kind.
+type kindCounts struct {
+	hits, misses, evictions uint64
+	entries                 int
+}
+
+// The engine's artifact kinds.
 const (
-	kindView   = "v\x00"
-	kindBlocks = "b\x00"
-	kindEst    = "e\x00"
+	kindView   byte = 'v'
+	kindBlocks byte = 'b'
+	kindEst    byte = 'e'
 )
+
+// kinds lists every artifact kind in counter-slot order: the engine's three,
+// then the planner's.
+var kinds = [...]byte{kindView, kindBlocks, kindEst, plan.KindPlan, plan.KindStats, plan.KindCols}
+
+// engineKinds is the number of leading kinds counted by Stats.
+const engineKinds = 3
+
+func slotOf(kind byte) int {
+	i := bytes.IndexByte(kinds[:], kind)
+	if i < 0 {
+		panic("engine: unknown artifact kind " + strconv.QuoteRune(rune(kind)))
+	}
+	return i
+}
 
 type blockInfo struct {
 	blockOf []int
@@ -60,23 +92,26 @@ type blockInfo struct {
 func NewCache() *Cache { return NewCacheBounded(0) }
 
 // NewCacheBounded returns an empty cache holding at most max artifacts
-// (views, block decompositions, and estimator sets each count as one);
-// max <= 0 means unbounded. Long-lived daemons should set a bound so the
-// cache cannot grow without limit.
+// (views, block decompositions, estimator sets, plans, column stats and
+// interned view columns each count as one); max <= 0 means unbounded.
+// Long-lived daemons should set a bound so the cache cannot grow without
+// limit.
 func NewCacheBounded(max int) *Cache {
 	if max < 0 {
 		max = 0
 	}
-	return &Cache{entries: make(map[string]*cacheEntry), max: max}
+	return &Cache{entries: make(map[cacheKey]*cacheEntry), max: max}
 }
 
 // CacheStats is a point-in-time snapshot of cache effectiveness counters.
+// Hits, Misses, Evictions and Entries cover views, blocks and estimator
+// sets; the planner's kinds are reported by PlanStats.
 type CacheStats struct {
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
 	Evictions uint64 `json:"evictions"`
 	Entries   int    `json:"entries"`
-	// MaxEntries is the configured bound (0 = unbounded).
+	// MaxEntries is the configured bound over every kind (0 = unbounded).
 	MaxEntries int `json:"max_entries"`
 }
 
@@ -89,58 +124,78 @@ func (s CacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// Stats returns a snapshot of the cache counters.
+// Stats returns a snapshot of the view, blocks and estimator counters.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{
-		Hits:       c.hits,
-		Misses:     c.misses,
-		Evictions:  c.evictions,
-		Entries:    len(c.entries),
-		MaxEntries: c.max,
+	st := CacheStats{MaxEntries: c.max}
+	for _, k := range c.counts[:engineKinds] {
+		st.Hits += k.hits
+		st.Misses += k.misses
+		st.Evictions += k.evictions
+		st.Entries += k.entries
 	}
+	return st
 }
 
-// Len returns the current number of cached artifacts.
+// PlanStats returns a snapshot of the planner's counters: hits, misses and
+// evictions of compiled plans, and the entries of every planner kind. A
+// plan miss always compiles, so Compiles equals Misses.
+func (c *Cache) PlanStats() plan.Stats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	p := c.counts[slotOf(plan.KindPlan)]
+	st := plan.Stats{Hits: p.hits, Misses: p.misses, Evictions: p.evictions, Compiles: p.misses}
+	for _, k := range c.counts[engineKinds:] {
+		st.Entries += k.entries
+	}
+	return st
+}
+
+// Len returns the current number of cached artifacts of every kind.
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
 }
 
-// get looks up a kind-prefixed key, promoting it to most recently used.
-func (c *Cache) get(key string) (any, bool) {
+// Get looks up an artifact, promoting it to most recently used. Get and Put
+// make a Cache a plan.Store; kind must be one of the engine's or the
+// planner's artifact kinds (any other kind panics).
+func (c *Cache) Get(kind byte, key string) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries[key]
+	e, ok := c.entries[cacheKey{kind, key}]
 	if !ok {
-		c.misses++
+		c.counts[slotOf(kind)].misses++
 		return nil, false
 	}
-	c.hits++
+	c.counts[e.slot].hits++
 	c.moveToFront(e)
 	return e.val, true
 }
 
-// put inserts (or refreshes) a kind-prefixed key, evicting from the LRU tail
-// past the bound.
-func (c *Cache) put(key string, val any) {
+// Put inserts (or refreshes) an artifact, evicting from the LRU tail past
+// the bound.
+func (c *Cache) Put(kind byte, key string, val any) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok {
+	k := cacheKey{kind, key}
+	if e, ok := c.entries[k]; ok {
 		e.val = val
 		c.moveToFront(e)
 		return
 	}
-	e := &cacheEntry{key: key, val: val}
-	c.entries[key] = e
+	e := &cacheEntry{cacheKey: k, slot: slotOf(kind), val: val}
+	c.counts[e.slot].entries++
+	c.entries[k] = e
 	c.pushFront(e)
 	for c.max > 0 && len(c.entries) > c.max {
 		lru := c.tail
 		c.unlink(lru)
-		delete(c.entries, lru.key)
-		c.evictions++
+		delete(c.entries, lru.cacheKey)
+		c.counts[lru.slot].entries--
+		c.counts[lru.slot].evictions++
 	}
 }
 
@@ -179,34 +234,34 @@ func (c *Cache) moveToFront(e *cacheEntry) {
 }
 
 func (c *Cache) getView(key string) (*view, bool) {
-	v, ok := c.get(kindView + key)
+	v, ok := c.Get(kindView, key)
 	if !ok {
 		return nil, false
 	}
 	return v.(*view), true
 }
 
-func (c *Cache) putView(key string, v *view) { c.put(kindView+key, v) }
+func (c *Cache) putView(key string, v *view) { c.Put(kindView, key, v) }
 
 func (c *Cache) getBlocks(key string) (blockInfo, bool) {
-	b, ok := c.get(kindBlocks + key)
+	b, ok := c.Get(kindBlocks, key)
 	if !ok {
 		return blockInfo{}, false
 	}
 	return b.(blockInfo), true
 }
 
-func (c *Cache) putBlocks(key string, b blockInfo) { c.put(kindBlocks+key, b) }
+func (c *Cache) putBlocks(key string, b blockInfo) { c.Put(kindBlocks, key, b) }
 
 func (c *Cache) getEst(key string) (*estimatorSet, bool) {
-	e, ok := c.get(kindEst + key)
+	e, ok := c.Get(kindEst, key)
 	if !ok {
 		return nil, false
 	}
 	return e.(*estimatorSet), true
 }
 
-func (c *Cache) putEst(key string, e *estimatorSet) { c.put(kindEst+key, e) }
+func (c *Cache) putEst(key string, e *estimatorSet) { c.Put(kindEst, key, e) }
 
 // estKey builds the identity of an estimator set: everything that affects
 // training except the update constants.

@@ -8,26 +8,28 @@ import (
 
 	"hyper/internal/dataset"
 	"hyper/internal/hyperql"
+	"hyper/internal/plan"
+	"hyper/internal/relation"
 )
 
 func TestCacheLRUEviction(t *testing.T) {
 	c := NewCacheBounded(3)
 	for i := 0; i < 3; i++ {
-		c.put(fmt.Sprintf("k%d", i), i)
+		c.Put(kindView, fmt.Sprintf("k%d", i), i)
 	}
 	if c.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", c.Len())
 	}
 	// Touch k0 so k1 becomes the LRU entry.
-	if _, ok := c.get("k0"); !ok {
+	if _, ok := c.Get(kindView, "k0"); !ok {
 		t.Fatal("k0 missing before eviction")
 	}
-	c.put("k3", 3)
-	if _, ok := c.get("k1"); ok {
+	c.Put(kindView, "k3", 3)
+	if _, ok := c.Get(kindView, "k1"); ok {
 		t.Error("k1 should have been evicted as LRU")
 	}
 	for _, k := range []string{"k0", "k2", "k3"} {
-		if _, ok := c.get(k); !ok {
+		if _, ok := c.Get(kindView, k); !ok {
 			t.Errorf("%s should have survived eviction", k)
 		}
 	}
@@ -43,7 +45,7 @@ func TestCacheLRUEviction(t *testing.T) {
 func TestCacheBoundNeverExceeded(t *testing.T) {
 	c := NewCacheBounded(8)
 	for i := 0; i < 100; i++ {
-		c.put(fmt.Sprintf("k%d", i), i)
+		c.Put(kindView, fmt.Sprintf("k%d", i), i)
 		if c.Len() > 8 {
 			t.Fatalf("after insert %d: Len = %d exceeds bound 8", i, c.Len())
 		}
@@ -54,7 +56,7 @@ func TestCacheBoundNeverExceeded(t *testing.T) {
 	}
 	// The 8 most recent keys survive, in full.
 	for i := 92; i < 100; i++ {
-		if _, ok := c.get(fmt.Sprintf("k%d", i)); !ok {
+		if _, ok := c.Get(kindView, fmt.Sprintf("k%d", i)); !ok {
 			t.Errorf("k%d should be resident", i)
 		}
 	}
@@ -63,7 +65,7 @@ func TestCacheBoundNeverExceeded(t *testing.T) {
 func TestCacheUnboundedByDefault(t *testing.T) {
 	c := NewCache()
 	for i := 0; i < 1000; i++ {
-		c.put(fmt.Sprintf("k%d", i), i)
+		c.Put(kindView, fmt.Sprintf("k%d", i), i)
 	}
 	if c.Len() != 1000 {
 		t.Fatalf("Len = %d, want 1000 (unbounded)", c.Len())
@@ -75,28 +77,28 @@ func TestCacheUnboundedByDefault(t *testing.T) {
 
 func TestCachePutRefreshesExistingKey(t *testing.T) {
 	c := NewCacheBounded(2)
-	c.put("a", 1)
-	c.put("b", 2)
-	c.put("a", 10) // refresh, not insert: b stays, a moves to front
+	c.Put(kindView, "a", 1)
+	c.Put(kindView, "b", 2)
+	c.Put(kindView, "a", 10) // refresh, not insert: b stays, a moves to front
 	if c.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", c.Len())
 	}
-	v, ok := c.get("a")
+	v, ok := c.Get(kindView, "a")
 	if !ok || v.(int) != 10 {
 		t.Errorf("a = %v,%v, want 10,true", v, ok)
 	}
-	c.put("c", 3) // evicts b (a was refreshed then hit)
-	if _, ok := c.get("b"); ok {
+	c.Put(kindView, "c", 3) // evicts b (a was refreshed then hit)
+	if _, ok := c.Get(kindView, "b"); ok {
 		t.Error("b should have been evicted")
 	}
 }
 
 func TestCacheHitMissCounters(t *testing.T) {
 	c := NewCache()
-	c.get("absent")
-	c.put("k", 1)
-	c.get("k")
-	c.get("k")
+	c.Get(kindView, "absent")
+	c.Put(kindView, "k", 1)
+	c.Get(kindView, "k")
+	c.Get(kindView, "k")
 	st := c.Stats()
 	if st.Hits != 2 || st.Misses != 1 {
 		t.Errorf("hits/misses = %d/%d, want 2/1", st.Hits, st.Misses)
@@ -106,6 +108,92 @@ func TestCacheHitMissCounters(t *testing.T) {
 	}
 	if (CacheStats{}).HitRate() != 0 {
 		t.Error("empty HitRate should be 0")
+	}
+}
+
+// TestCacheMixedKindLRUEviction pins the one-bound contract of a session's
+// artifact cache: engine and planner artifacts share one LRU list, so past
+// the bound the least recently used entry of any kind is evicted, and each
+// kind's lookups land only in its own counters.
+func TestCacheMixedKindLRUEviction(t *testing.T) {
+	c := NewCacheBounded(4)
+	c.Put(kindView, "v", 1)
+	c.Put(plan.KindPlan, "p", 2)
+	c.Put(plan.KindStats, "s", 3)
+	c.Put(plan.KindCols, "c", 4)
+	if _, ok := c.Get(kindView, "v"); !ok { // v is now the most recent: p is the LRU
+		t.Fatal("view missing before eviction")
+	}
+	c.Put(kindEst, "e", 5)    // evicts the plan
+	c.Put(kindBlocks, "b", 6) // evicts the stats
+	for _, k := range []cacheKey{{plan.KindPlan, "p"}, {plan.KindStats, "s"}} {
+		if _, ok := c.Get(k.kind, k.key); ok {
+			t.Errorf("%c/%s survived past the bound", k.kind, k.key)
+		}
+	}
+	for _, k := range []cacheKey{{kindView, "v"}, {plan.KindCols, "c"}, {kindEst, "e"}, {kindBlocks, "b"}} {
+		if _, ok := c.Get(k.kind, k.key); !ok {
+			t.Errorf("%c/%s evicted, want resident", k.kind, k.key)
+		}
+	}
+	st, ps := c.Stats(), c.PlanStats()
+	if st.Hits != 4 || st.Misses != 0 || st.Evictions != 0 || st.Entries != 3 || st.MaxEntries != 4 {
+		t.Errorf("engine stats = %+v, want 4 hits, 0 misses, 0 evictions, 3 entries, bound 4", st)
+	}
+	if ps.Hits != 0 || ps.Misses != 1 || ps.Evictions != 1 || ps.Entries != 1 {
+		t.Errorf("plan stats = %+v, want 0 hits, 1 miss, 1 eviction, 1 entry", ps)
+	}
+	if c.Len() != st.Entries+ps.Entries {
+		t.Errorf("Len = %d, want engine + plan entries %d", c.Len(), st.Entries+ps.Entries)
+	}
+}
+
+// TestCachePlanKindsShareTheBound drives a plan.Cache over a bounded Cache:
+// each WHEN shape stores its plan and its column's stats, so with a bound of
+// 3 the third shape evicts the first plan, and plan lookups never move the
+// engine's hit/miss counters.
+func TestCachePlanKindsShareTheBound(t *testing.T) {
+	rel := relation.NewRelation("Items", relation.MustSchema(
+		relation.Column{Name: "ID", Key: true},
+		relation.Column{Name: "Cat"},
+		relation.Column{Name: "Price", Mutable: true},
+		relation.Column{Name: "Qty", Mutable: true},
+	))
+	for i := 0; i < 8; i++ {
+		rel.MustInsert(relation.Int(int64(i)), relation.String(string(rune('a'+i%3))),
+			relation.Float(float64(10*i)), relation.Int(int64(i%4)))
+	}
+	db := relation.NewDatabase()
+	db.MustAdd(rel)
+	c := NewCacheBounded(3)
+	pc := plan.NewCache(c)
+	shapes := []string{"Cat = 'a'", "Price > 5", "Qty IN (1)"}
+	qs := make([]*hyperql.WhatIf, len(shapes))
+	for i, s := range shapes {
+		q, err := hyperql.ParseWhatIf("USE Items WHEN " + s + " UPDATE(Price) = 1 OUTPUT COUNT(Price = 1)")
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs[i] = q
+		if _, hit := pc.WhatIf(db, "v", q, rel); hit {
+			t.Fatalf("compile %d reported a hit", i)
+		}
+	}
+	if ps := c.PlanStats(); c.Len() != 3 || ps.Entries != 3 || ps.Evictions != 1 {
+		t.Errorf("Len = %d, plan stats = %+v, want 3 entries and 1 eviction (the LRU plan)", c.Len(), ps)
+	}
+	if _, hit := pc.WhatIf(db, "v", qs[2], rel); !hit {
+		t.Error("most recent plan was evicted")
+	}
+	if _, hit := pc.WhatIf(db, "v", qs[0], rel); hit {
+		t.Error("evicted LRU plan still reported a hit")
+	}
+	ps := c.PlanStats()
+	if ps.Hits != 1 || ps.Misses != 4 || ps.Compiles != 4 || ps.Evictions != 2 {
+		t.Errorf("plan stats after recompile = %+v, want 1 hit, 4 misses, 4 compiles, 2 evictions", ps)
+	}
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 || st.Entries != 0 || st.MaxEntries != 3 {
+		t.Errorf("engine stats = %+v, want no engine lookups or entries, bound 3", st)
 	}
 }
 
@@ -175,8 +263,10 @@ func TestCacheConcurrentEvaluate(t *testing.T) {
 		}
 		qs[i] = q
 	}
-	// A small bound forces concurrent eviction alongside concurrent reuse.
+	// A small bound forces concurrent eviction alongside concurrent reuse;
+	// the plans share it.
 	c := NewCacheBounded(4)
+	pc := plan.NewCache(c)
 	want := make([]float64, len(qs))
 	for i, q := range qs {
 		res, err := Evaluate(g.DB, g.Model, q, Options{Mode: ModeFull, Seed: 7})
@@ -195,7 +285,7 @@ func TestCacheConcurrentEvaluate(t *testing.T) {
 			defer wg.Done()
 			for it := 0; it < iters; it++ {
 				k := (w + it) % len(qs)
-				res, err := Evaluate(g.DB, g.Model, qs[k], Options{Mode: ModeFull, Seed: 7, Cache: c})
+				res, err := Evaluate(g.DB, g.Model, qs[k], Options{Mode: ModeFull, Seed: 7, Cache: c, Plans: pc})
 				if err != nil {
 					errs <- err
 					return
@@ -212,7 +302,7 @@ func TestCacheConcurrentEvaluate(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if st := c.Stats(); st.Entries > 4 {
-		t.Errorf("bound violated under concurrency: %d entries", st.Entries)
+	if n := c.Len(); n > 4 {
+		t.Errorf("bound violated under concurrency: %d entries", n)
 	}
 }

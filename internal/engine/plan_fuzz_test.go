@@ -114,7 +114,7 @@ func FuzzPlanParity(f *testing.F) {
 
 			planned := base
 			planned.Cache = NewCache()
-			planned.Plans = plan.NewCache(0)
+			planned.Plans = plan.NewCache(planned.Cache)
 			for rep, label := range []string{"cold", "warm"} {
 				got, err := Evaluate(g.DB, g.Model, q, planned)
 				if (err == nil) != (wantErr == nil) {

@@ -66,8 +66,8 @@ func renderPlans(t *testing.T) string {
 	cases := append(append([]parityCase{}, parityCases...), planOnlyCases...)
 	for _, c := range cases {
 		opts := c.opts
-		opts.Plans = plan.NewCache(0)
 		opts.Cache = NewCache()
+		opts.Plans = plan.NewCache(opts.Cache)
 		opts.DryRun = true
 		cc := c
 		cc.opts = opts
@@ -118,8 +118,8 @@ func TestPlannedParityGoldens(t *testing.T) {
 			for _, shards := range []int{1, 4} {
 				opts := c.opts
 				opts.Shards = shards
-				opts.Plans = plan.NewCache(0)
 				opts.Cache = NewCache()
+				opts.Plans = plan.NewCache(opts.Cache)
 				for rep, label := range []string{"cold", "warm"} {
 					cc := c
 					cc.opts = opts

@@ -12,58 +12,55 @@ import (
 	"hyper/internal/relation"
 )
 
-// Cache is the bounded fingerprint-keyed plan cache: compiled what-if plans
-// keyed by shape fingerprint over the schema signature, plus the supporting
+// Cache is the fingerprint-keyed plan cache: compiled what-if plans keyed
+// by shape fingerprint over the schema signature, plus the supporting
 // artifacts they execute against (per-view interned columns, and per-column
 // stats). Stats are collected on demand, one column at a time, only for the
 // columns a query reads: the WHEN columns of a what-if (keyed by data
 // identity + view + column) and the HOWTOUPDATE attributes of a how-to
 // (keyed by data identity + base relation + column). A WHEN-less what-if
-// scans nothing. One LRU list orders every artifact kind together; the bound
-// caps total artifacts, so a long-lived session cannot grow the planner's
-// memory without limit.
+// scans nothing.
+//
+// A Cache keeps no artifacts of its own: it reads and writes them through a
+// Store, which in a session is the session's engine.Cache. Plans then share
+// that cache's one LRU list and one bound with views, blocks and estimator
+// sets, so a long-lived session cannot grow the planner's memory without
+// limit, and the store counts plan lookups (engine.Cache.PlanStats).
 //
 // Cache identity is fingerprint + schema signature: hyperql.Fingerprint
 // hashes the signature into the key's domain, so a structurally identical
 // query against a re-uploaded database with a different schema can never be
-// served a stale pushdown program. Hits, misses, and evictions count plan
-// lookups only (supporting artifacts are internal); Compiles counts plan
-// compilations.
+// served a stale pushdown program.
 //
 // All methods are safe for concurrent use. Like engine.Cache, a Cache must
 // only be shared across queries against the same database.
 type Cache struct {
+	store Store
+
 	mu        sync.Mutex
-	entries   map[string]*entry
-	head      *entry // most recently used
-	tail      *entry // least recently used
-	max       int    // maximum entries; 0 = unbounded
 	onCompile func(ms float64)
-
-	hits, misses, evictions, compiles uint64
 }
 
-type entry struct {
-	key        string
-	val        any
-	prev, next *entry
+// Store holds a Cache's artifacts. Every key comes with its artifact kind
+// (KindPlan, KindStats or KindCols); keys of different kinds never collide.
+// engine.Cache implements it. Implementations must be safe for concurrent
+// use.
+type Store interface {
+	// Get looks an artifact up (promoting it, in an LRU store).
+	Get(kind byte, key string) (any, bool)
+	// Put inserts or replaces an artifact.
+	Put(kind byte, key string, val any)
 }
 
-// Artifact key prefixes.
+// Artifact kinds a Cache stores.
 const (
-	kindPlan  = "p\x00"
-	kindStats = "s\x00"
-	kindCols  = "c\x00"
+	KindPlan  byte = 'p' // a *WhatIfPlan, keyed by fingerprint
+	KindStats byte = 's' // one column's ml.ColumnStats, keyed by scope + column
+	KindCols  byte = 'c' // one view's interned columns, keyed by scope
 )
 
-// NewCache returns an empty plan cache holding at most max artifacts;
-// max <= 0 means unbounded.
-func NewCache(max int) *Cache {
-	if max < 0 {
-		max = 0
-	}
-	return &Cache{entries: make(map[string]*entry), max: max}
-}
+// NewCache returns a plan cache keeping its artifacts in store.
+func NewCache(store Store) *Cache { return &Cache{store: store} }
 
 // SetCompileObserver installs a callback invoked with each plan compilation
 // latency in milliseconds (the serving layer feeds its histogram through
@@ -74,111 +71,16 @@ func (c *Cache) SetCompileObserver(fn func(ms float64)) {
 	c.mu.Unlock()
 }
 
-// Stats is a point-in-time snapshot of plan-cache counters.
+// Stats is a point-in-time snapshot of plan-cache counters (see
+// engine.Cache.PlanStats).
 type Stats struct {
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
 	Evictions uint64 `json:"evictions"`
 	// Compiles counts plan compilations (misses that built a plan).
 	Compiles uint64 `json:"compiles"`
-	Entries  int    `json:"entries"`
-	// MaxEntries is the configured bound (0 = unbounded).
-	MaxEntries int `json:"max_entries"`
-}
-
-// Stats returns a snapshot of the cache counters.
-func (c *Cache) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return Stats{
-		Hits:       c.hits,
-		Misses:     c.misses,
-		Evictions:  c.evictions,
-		Compiles:   c.compiles,
-		Entries:    len(c.entries),
-		MaxEntries: c.max,
-	}
-}
-
-// Len returns the current number of cached artifacts.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// get looks a key up, promoting it; counted lookups maintain the hit/miss
-// counters (plan lookups), uncounted ones (supporting artifacts) do not.
-func (c *Cache) get(key string, counted bool) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if !ok {
-		if counted {
-			c.misses++
-		}
-		return nil, false
-	}
-	if counted {
-		c.hits++
-	}
-	c.moveToFront(e)
-	return e.val, true
-}
-
-func (c *Cache) put(key string, val any) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok {
-		e.val = val
-		c.moveToFront(e)
-		return
-	}
-	e := &entry{key: key, val: val}
-	c.entries[key] = e
-	c.pushFront(e)
-	for c.max > 0 && len(c.entries) > c.max {
-		lru := c.tail
-		c.unlink(lru)
-		delete(c.entries, lru.key)
-		if strings.HasPrefix(lru.key, kindPlan) {
-			c.evictions++
-		}
-	}
-}
-
-func (c *Cache) pushFront(e *entry) {
-	e.prev = nil
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-}
-
-func (c *Cache) unlink(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		c.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		c.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (c *Cache) moveToFront(e *entry) {
-	if c.head == e {
-		return
-	}
-	c.unlink(e)
-	c.pushFront(e)
+	// Entries counts plans, column stats and interned columns together.
+	Entries int `json:"entries"`
 }
 
 // dataKey is the cache-identity string of a database: the schema signature,
@@ -232,7 +134,7 @@ func Fingerprint(db *relation.Database, q hyperql.Query) string {
 func (c *Cache) WhatIf(db *relation.Database, viewKey string, q *hyperql.WhatIf, rel *relation.Relation) (*WhatIfPlan, bool) {
 	sig := dataKey(db)
 	fp := hyperql.Fingerprint("plan\x00"+sig, q)
-	if v, ok := c.get(kindPlan+fp, true); ok {
+	if v, ok := c.store.Get(KindPlan, fp); ok {
 		return v.(*WhatIfPlan), true
 	}
 	start := time.Now()
@@ -240,11 +142,10 @@ func (c *Cache) WhatIf(db *relation.Database, viewKey string, q *hyperql.WhatIf,
 	p := compileWhatIf(q, fp, rel, func(col string) (ml.ColumnStats, bool) {
 		return c.colStats(scope, rel, col)
 	})
-	p.colsKey = kindCols + scope
-	c.put(kindPlan+fp, p)
+	p.colsKey = scope
+	c.store.Put(KindPlan, fp, p)
 	ms := float64(time.Since(start).Nanoseconds()) / 1e6
 	c.mu.Lock()
-	c.compiles++
 	obs := c.onCompile
 	c.mu.Unlock()
 	if obs != nil {
@@ -278,23 +179,23 @@ func (c *Cache) colStats(scope string, rel *relation.Relation, col string) (st m
 	if !ok {
 		return st, false
 	}
-	key := kindStats + scope + "\x00" + col
-	if v, hit := c.get(key, false); hit {
+	key := scope + "\x00" + col
+	if v, hit := c.store.Get(KindStats, key); hit {
 		return v.(ml.ColumnStats), true
 	}
 	st = ml.ColumnStatsOf(rel, ci)
-	c.put(key, st)
+	c.store.Put(KindStats, key, st)
 	return st, true
 }
 
 // columns returns the interned-column store for a view, creating it on
 // first use.
 func (c *Cache) columns(key string) *viewColumns {
-	if v, ok := c.get(key, false); ok {
+	if v, ok := c.store.Get(KindCols, key); ok {
 		return v.(*viewColumns)
 	}
 	vc := &viewColumns{}
-	c.put(key, vc)
+	c.store.Put(KindCols, key, vc)
 	return vc
 }
 

@@ -56,6 +56,67 @@ func testDB(t testing.TB) (*relation.Database, *relation.Relation) {
 	return db, rel
 }
 
+// testStore is a minimal Store: a locked map that, past max entries (0 =
+// unbounded), forgets arbitrary entries. engine.Cache is the LRU store; its
+// bound tests live in internal/engine.
+type testStore struct {
+	mu   sync.Mutex
+	m    map[cacheKey]any
+	max  int
+	hits int
+}
+
+type cacheKey struct {
+	kind byte
+	key  string
+}
+
+func newTestCache(max int) (*Cache, *testStore) {
+	s := &testStore{m: make(map[cacheKey]any), max: max}
+	return NewCache(s), s
+}
+
+func (s *testStore) Get(kind byte, key string) (any, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	v, ok := s.m[cacheKey{kind, key}]
+	if ok && kind == KindPlan {
+		s.hits++
+	}
+	return v, ok
+}
+
+func (s *testStore) Put(kind byte, key string, val any) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.m[cacheKey{kind, key}] = val
+	for k := range s.m {
+		if s.max == 0 || len(s.m) <= s.max {
+			break
+		}
+		delete(s.m, k)
+	}
+}
+
+// keys lists the stored keys of one kind.
+func (s *testStore) keys(kind byte) []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var keys []string
+	for k := range s.m {
+		if k.kind == kind {
+			keys = append(keys, k.key)
+		}
+	}
+	return keys
+}
+
+func (s *testStore) len() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.m)
+}
+
 // parseWhen wraps a WHEN clause in a minimal what-if and parses it.
 func parseWhen(t testing.TB, when string) *hyperql.WhatIf {
 	t.Helper()
@@ -94,7 +155,7 @@ func rowLoopMask(t testing.TB, when hyperql.Expr, rel *relation.Relation) []bool
 
 func TestCompileClassification(t *testing.T) {
 	db, rel := testDB(t)
-	c := NewCache(0)
+	c, _ := newTestCache(0)
 	q := parseWhen(t, "Cat = 'a' AND Price > 25 AND Qty IN (1, 2) AND Mix < 3 AND ID + 1 = 2 AND Wild >= 1")
 	p, hit := c.WhatIf(db, "v", q, rel)
 	if hit {
@@ -130,12 +191,14 @@ func TestCostOrderingAndExplainDeterminism(t *testing.T) {
 	// Written range-first: equality on Cat (sel 1/4) must still run before
 	// the range on Price (sel 1/3).
 	q := parseWhen(t, "Price > 5 AND Cat = 'a'")
-	p, _ := NewCache(0).WhatIf(db, "v", q, rel)
+	c, _ := newTestCache(0)
+	p, _ := c.WhatIf(db, "v", q, rel)
 	if p.Conjuncts[0].Col != "Cat" || p.Conjuncts[1].Col != "Price" {
 		t.Fatalf("cost order = [%s %s], want [Cat Price]\n%s",
 			p.Conjuncts[0].Col, p.Conjuncts[1].Col, p.Explain())
 	}
-	p2, _ := NewCache(0).WhatIf(db, "v", q, rel)
+	c, _ = newTestCache(0)
+	p2, _ := c.WhatIf(db, "v", q, rel)
 	if p.Explain() != p2.Explain() {
 		t.Fatalf("explain not deterministic:\n%s\nvs\n%s", p.Explain(), p2.Explain())
 	}
@@ -146,7 +209,7 @@ func TestCostOrderingAndExplainDeterminism(t *testing.T) {
 
 func TestFallbackOnUnresolvableWhen(t *testing.T) {
 	db, rel := testDB(t)
-	c := NewCache(0)
+	c, _ := newTestCache(0)
 	q := parseWhen(t, "Nope = 1 AND Cat = 'a'")
 	p, _ := c.WhatIf(db, "v", q, rel)
 	if !p.Fallback {
@@ -193,7 +256,7 @@ func TestApplyMatchesRowLoop(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.when, func(t *testing.T) {
-			c := NewCache(0)
+			c, _ := newTestCache(0)
 			q := parseWhen(t, tc.when)
 			p, _ := c.WhatIf(db, "v", q, rel)
 			if p.Fallback {
@@ -220,7 +283,7 @@ func TestApplyMatchesRowLoop(t *testing.T) {
 
 func TestCacheHitReusesPlanAndRebindsLiterals(t *testing.T) {
 	db, rel := testDB(t)
-	c := NewCache(0)
+	c, store := newTestCache(0)
 	q1 := parseWhen(t, "Cat = 'a'")
 	q2 := parseWhen(t, "Cat = 'b'") // same shape, different literal
 	p1, hit := c.WhatIf(db, "v", q1, rel)
@@ -246,38 +309,8 @@ func TestCacheHitReusesPlanAndRebindsLiterals(t *testing.T) {
 			}
 		}
 	}
-	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.Compiles != 1 {
-		t.Errorf("stats = %+v, want 1 hit / 1 miss / 1 compile", st)
-	}
-}
-
-func TestLRUEviction(t *testing.T) {
-	db, rel := testDB(t)
-	c := NewCache(3) // each shape adds its plan and its column's stats
-	shapes := []string{"Cat = 'a'", "Price > 5", "Qty IN (1)"}
-	qs := make([]*hyperql.WhatIf, len(shapes))
-	for i, s := range shapes {
-		qs[i] = parseWhen(t, s)
-		if _, hit := c.WhatIf(db, "v", qs[i], rel); hit {
-			t.Fatalf("compile %d reported a hit", i)
-		}
-	}
-	st := c.Stats()
-	if st.Entries != 3 {
-		t.Errorf("entries = %d, want the configured bound 3", st.Entries)
-	}
-	if st.Evictions != 1 {
-		t.Errorf("evictions = %d, want 1 (the LRU plan)", st.Evictions)
-	}
-	if _, hit := c.WhatIf(db, "v", qs[2], rel); !hit {
-		t.Error("most recent plan was evicted")
-	}
-	if _, hit := c.WhatIf(db, "v", qs[0], rel); hit {
-		t.Error("evicted LRU plan still reported a hit")
-	}
-	if st := c.Stats(); st.Evictions != 2 {
-		t.Errorf("evictions after recompile = %d, want 2", st.Evictions)
+	if n := len(store.keys(KindPlan)); n != 1 || store.hits != 1 {
+		t.Errorf("store holds %d plans after %d plan hits, want 1 plan and 1 hit", n, store.hits)
 	}
 }
 
@@ -303,7 +336,7 @@ func TestSchemaSignatureInvalidation(t *testing.T) {
 	if Fingerprint(db, q) == Fingerprint(db2, q) {
 		t.Fatal("same query text fingerprints identically across schemas")
 	}
-	c := NewCache(0)
+	c, _ := newTestCache(0)
 	if _, hit := c.WhatIf(db, "v", q, rel); hit {
 		t.Fatal("cold compile hit")
 	}
@@ -317,7 +350,7 @@ func TestSchemaSignatureInvalidation(t *testing.T) {
 
 func TestAttrRank(t *testing.T) {
 	db, _ := testDB(t)
-	c := NewCache(0)
+	c, _ := newTestCache(0)
 	use := &hyperql.UseClause{Table: "Items"}
 	// Cards: Cat=4, Qty=4 (NULL excluded), Price=8. Ascending cardinality,
 	// original order breaking the Cat/Qty tie.
@@ -334,19 +367,6 @@ func TestAttrRank(t *testing.T) {
 	if r := c.AttrRank(db, use, []string{"Cat", "Nope"}); r != nil {
 		t.Errorf("missing attribute ranked to %v, want nil", r)
 	}
-}
-
-// statsKeys lists the cached per-column stats entries of c.
-func statsKeys(c *Cache) []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var keys []string
-	for k := range c.entries {
-		if strings.HasPrefix(k, kindStats) {
-			keys = append(keys, k)
-		}
-	}
-	return keys
 }
 
 // TestStatsScope pins what a compile pays for: stats are collected per
@@ -373,18 +393,18 @@ func TestStatsScope(t *testing.T) {
 		}
 		return q
 	}
-	c := NewCache(0)
+	c, store := newTestCache(0)
 	compile := func(when string, wantAdded, wantStats int) {
 		t.Helper()
-		before := c.Len()
+		before := store.len()
 		if _, hit := c.WhatIf(db, "v", parse(when), rel); hit {
 			t.Fatalf("%q: first compile hit the cache", when)
 		}
-		if got := c.Len() - before; got != wantAdded {
+		if got := store.len() - before; got != wantAdded {
 			t.Errorf("%q added %d artifacts, want %d", when, got, wantAdded)
 		}
-		if got := len(statsKeys(c)); got != wantStats {
-			t.Errorf("after %q: %d stats entries %q, want %d", when, got, statsKeys(c), wantStats)
+		if got := store.keys(KindStats); len(got) != wantStats {
+			t.Errorf("after %q: %d stats entries %q, want %d", when, len(got), got, wantStats)
 		}
 	}
 	compile("", 1, 0)                         // the plan alone: no column scanned
@@ -393,13 +413,13 @@ func TestStatsScope(t *testing.T) {
 	compile("WHEN Sex + Age = 1", 1, 2)       // residual: no stats asked for
 	compile("WHEN Status IN (0, 1)", 2, 3)    // the plan + Status
 
-	c = NewCache(0)
+	c, store = newTestCache(0)
 	if rank := c.AttrRank(db, &hyperql.UseClause{Table: "People"}, []string{"Age", "Sex"}); rank["Sex"] != 0 || rank["Age"] != 1 {
 		t.Fatalf("rank = %v, want Sex=0 Age=1", rank)
 	}
-	keys := statsKeys(c)
-	if len(keys) != 2 || c.Len() != 2 {
-		t.Fatalf("AttrRank cached %d artifacts, stats %q; want exactly Age and Sex", c.Len(), keys)
+	keys := store.keys(KindStats)
+	if len(keys) != 2 || store.len() != 2 {
+		t.Fatalf("AttrRank cached %d artifacts, stats %q; want exactly Age and Sex", store.len(), keys)
 	}
 	for _, k := range keys {
 		if !strings.HasSuffix(k, "\x00Age") && !strings.HasSuffix(k, "\x00Sex") {
@@ -413,7 +433,7 @@ func TestStatsScope(t *testing.T) {
 // produced mask against the row loop. Run under -race in CI's test job.
 func TestConcurrentPlanners(t *testing.T) {
 	db, rel := testDB(t)
-	c := NewCache(4) // small bound so eviction races with lookup
+	c, store := newTestCache(4) // small bound so eviction races with lookup
 	shapes := []string{
 		"Cat = 'a'",
 		"Price > 25 AND Cat != 'b'",
@@ -456,11 +476,10 @@ func TestConcurrentPlanners(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	st := c.Stats()
-	if st.Entries > 4 {
-		t.Errorf("entries = %d, exceeds bound 4", st.Entries)
+	if n := store.len(); n > 4 {
+		t.Errorf("entries = %d, exceeds bound 4", n)
 	}
-	if st.Compiles == 0 || st.Hits == 0 {
-		t.Errorf("stats = %+v, want both compiles and hits under contention", st)
+	if store.hits == 0 {
+		t.Error("no plan hits under contention")
 	}
 }

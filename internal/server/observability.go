@@ -113,9 +113,7 @@ func (s *Server) sumCaches(f func(hyper.CacheStats) float64) float64 {
 func (s *Server) sumPlanCaches(f func(hyper.PlanCacheStats) float64) float64 {
 	var sum float64
 	for _, e := range s.sortedEntries() {
-		if pc := e.head().sess.PlanCache(); pc != nil {
-			sum += f(pc.Stats())
-		}
+		sum += f(e.head().sess.Cache().PlanStats())
 	}
 	return sum
 }

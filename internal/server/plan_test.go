@@ -62,24 +62,61 @@ func TestServerPlanCacheStatsAndSessionDelete(t *testing.T) {
 	}
 }
 
-// TestServerPlanCacheEntriesOverride checks the per-session bound override on
-// session creation.
-func TestServerPlanCacheEntriesOverride(t *testing.T) {
-	ts := newTestServer(t, Config{})
-	bound := 2
-	var info SessionInfo
-	code := do(t, "POST", ts.URL+"/v1/sessions", CreateSessionRequest{
-		Name:             "tiny",
-		Dataset:          "german",
-		Scale:            0.3,
-		Options:          &SessionOptions{Mode: "full", Seed: 7},
-		PlanCacheEntries: &bound,
-	}, &info)
-	if code != http.StatusOK {
-		t.Fatalf("create session: status %d", code)
+// TestServerCacheEntriesBoundsAllKinds checks that -cache-entries is the
+// one bound of a session's artifact cache: engine and plan artifacts
+// together stay within it while distinct WHEN what-ifs evict each other,
+// and eviction never changes an answer.
+func TestServerCacheEntriesBoundsAllKinds(t *testing.T) {
+	const bound = 4
+	tiny := newTestServer(t, Config{CacheEntries: bound})
+	unbounded := newTestServer(t, Config{CacheEntries: -1})
+	createSession(t, tiny, "g")
+	createSession(t, unbounded, "g")
+	whens := []string{"Age = 2", "Sex = 1", "Age = 1 AND Sex = 0", "Status IN (1, 2)", "Savings > 1", "Age = 2"}
+	for _, when := range whens {
+		q := QueryRequest{Query: "USE German WHEN " + when + " UPDATE(Status) = 3 OUTPUT COUNT(Credit = 1)"}
+		var got, want WhatIfResponse
+		if code := do(t, "POST", tiny.URL+"/v1/sessions/g/whatif", q, &got); code != http.StatusOK {
+			t.Fatalf("%s: bounded whatif: status %d", when, code)
+		}
+		if code := do(t, "POST", unbounded.URL+"/v1/sessions/g/whatif", q, &want); code != http.StatusOK {
+			t.Fatalf("%s: unbounded whatif: status %d", when, code)
+		}
+		if got.Value != want.Value || got.Sum != want.Sum || got.Count != want.Count || got.UpdatedRows != want.UpdatedRows {
+			t.Fatalf("%s: bounded session answered %+v, unbounded %+v", when, got, want)
+		}
+		var info SessionInfo
+		do(t, "GET", tiny.URL+"/v1/sessions/g", nil, &info)
+		if n := info.Cache.Entries + info.Plan.Entries; n > bound {
+			t.Fatalf("%s: session holds %d artifacts (engine %d + plan %d), bound %d",
+				when, n, info.Cache.Entries, info.Plan.Entries, bound)
+		}
+		if info.Cache.MaxEntries != bound {
+			t.Fatalf("cache bound = %d, want %d", info.Cache.MaxEntries, bound)
+		}
 	}
-	if info.Plan.MaxEntries != bound {
-		t.Fatalf("plan cache bound = %d, want %d", info.Plan.MaxEntries, bound)
+	var info SessionInfo
+	do(t, "GET", tiny.URL+"/v1/sessions/g", nil, &info)
+	if info.Cache.Evictions == 0 || info.Plan.Evictions == 0 {
+		t.Fatalf("engine evictions %d, plan evictions %d: the bound never bit, so the test shows nothing",
+			info.Cache.Evictions, info.Plan.Evictions)
+	}
+}
+
+// TestServerCreateSessionRejectsCacheBounds checks that a client cannot set
+// its session's cache bound: the bound is the operator's -cache-entries, and
+// the strict decoder answers the removed per-request fields with a 400.
+func TestServerCreateSessionRejectsCacheBounds(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	for _, field := range []string{"cache_entries", "plan_cache_entries"} {
+		body := map[string]any{"name": "greedy", "dataset": "german", "scale": 0.1, field: -1}
+		var e ErrorResponse
+		if code := do(t, "POST", ts.URL+"/v1/sessions", body, &e); code != http.StatusBadRequest || e.Error == "" {
+			t.Fatalf("%s: status %d, error %q; want 400 with an error envelope", field, code, e.Error)
+		}
+		if code := do(t, "GET", ts.URL+"/v1/sessions/greedy", nil, nil); code != http.StatusNotFound {
+			t.Fatalf("%s: session lookup after a rejected create: status %d, want 404", field, code)
+		}
 	}
 }
 
@@ -274,10 +311,9 @@ func TestServerHowToRankAfterAppend(t *testing.T) {
 		if version > 0 {
 			sn = e.snaps[version-1]
 		}
-		pc := sn.sess.PlanCache()
-		before := pc.Len()
-		rank := pc.AttrRank(sn.sess.DB(), q.Use, q.Attrs)
-		return rank, pc.Len() == before
+		before := sn.sess.Cache().Len()
+		rank := sn.sess.PlanCache().AttrRank(sn.sess.DB(), q.Use, q.Attrs)
+		return rank, sn.sess.Cache().Len() == before
 	}
 	if r, _ := rankOf(grownSrv, "s", 1); r["Savings"] != 0 {
 		t.Fatalf("version 1 rank %v, want Savings first (the reversal below would be vacuous)", r)

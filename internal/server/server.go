@@ -77,14 +77,12 @@ import (
 
 // Config tunes the server; the zero value is usable.
 type Config struct {
-	// CacheEntries bounds each session's engine cache (artifacts, not
-	// bytes). Default 512; <0 means unbounded.
+	// CacheEntries bounds each session's artifact cache (artifacts, not
+	// bytes): views, blocks, estimator sets, compiled plans, column stats
+	// and interned columns together. Default 512; <0 means unbounded. A
+	// session's cache is dropped with the session, so a schema can never
+	// outlive its plans.
 	CacheEntries int
-	// PlanCacheEntries bounds each session's compiled-plan cache (plans plus
-	// their supporting per-view artifacts). Default 256; <0 means unbounded;
-	// a session's plan cache is dropped with the session, so a schema can
-	// never outlive its plans.
-	PlanCacheEntries int
 	// BatchWorkers is the worker-pool size for /v1/batch (and the cap on a
 	// request's own workers field). Default GOMAXPROCS.
 	BatchWorkers int
@@ -148,12 +146,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheEntries < 0 {
 		c.CacheEntries = 0 // unbounded
-	}
-	if c.PlanCacheEntries == 0 {
-		c.PlanCacheEntries = 256
-	}
-	if c.PlanCacheEntries < 0 {
-		c.PlanCacheEntries = 0 // unbounded
 	}
 	if c.BatchWorkers <= 0 {
 		c.BatchWorkers = runtime.GOMAXPROCS(0)

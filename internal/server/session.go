@@ -17,11 +17,11 @@ import (
 )
 
 // sessionEntry is one live session: a named database + causal model bound to
-// a bounded engine cache, plus the session's MVCC version chain. Every data
-// state the session has ever been in is an immutable snapshotEntry; an
-// append publishes a new snapshot atomically, so a query that resolved its
-// snapshot keeps evaluating against exactly that data no matter how many
-// appends land meanwhile. The engine and plan caches are shared across the
+// a bounded artifact cache (plans included), plus the session's MVCC version
+// chain. Every data state the session has ever been in is an immutable
+// snapshotEntry; an append publishes a new snapshot atomically, so a query
+// that resolved its snapshot keeps evaluating against exactly that data no
+// matter how many appends land meanwhile. The cache is shared across the
 // chain — cache identity is version-qualified below the hyper layer, so
 // entries for different versions can never collide.
 type sessionEntry struct {
@@ -162,12 +162,6 @@ type CreateSessionRequest struct {
 	Seed    int64           `json:"seed,omitempty"`
 	CSV     *CSVDatabase    `json:"csv,omitempty"`
 	Options *SessionOptions `json:"options,omitempty"`
-	// CacheEntries overrides the server's per-session cache bound
-	// (<0 = unbounded).
-	CacheEntries *int `json:"cache_entries,omitempty"`
-	// PlanCacheEntries overrides the server's per-session compiled-plan
-	// cache bound (<0 = unbounded).
-	PlanCacheEntries *int `json:"plan_cache_entries,omitempty"`
 }
 
 // SessionInfo describes a live session.
@@ -178,13 +172,15 @@ type SessionInfo struct {
 	Rows      int      `json:"rows"`
 	// Version is the head snapshot version; Snapshots counts the published
 	// versions (1 at creation, +1 per append).
-	Version   int64            `json:"version"`
-	Snapshots int              `json:"snapshots"`
-	Queries   int64            `json:"queries"`
-	CreatedAt time.Time        `json:"created_at"`
-	Cache     hyper.CacheStats `json:"cache"`
-	// Plan is the session's compiled-plan cache counters.
-	Plan hyper.PlanCacheStats `json:"plan"`
+	Version   int64     `json:"version"`
+	Snapshots int       `json:"snapshots"`
+	Queries   int64     `json:"queries"`
+	CreatedAt time.Time `json:"created_at"`
+	// Cache counts the session cache's view, blocks and estimator lookups;
+	// Plan counts its compiled-plan lookups. Cache.MaxEntries bounds both
+	// together.
+	Cache hyper.CacheStats     `json:"cache"`
+	Plan  hyper.PlanCacheStats `json:"plan"`
 }
 
 func (e *sessionEntry) info() SessionInfo {
@@ -203,9 +199,7 @@ func (e *sessionEntry) info() SessionInfo {
 		Queries:   e.queries.Load(),
 		CreatedAt: e.created,
 		Cache:     head.sess.Cache().Stats(),
-	}
-	if pc := head.sess.PlanCache(); pc != nil {
-		info.Plan = pc.Stats()
+		Plan:      head.sess.Cache().PlanStats(),
 	}
 	return info
 }
@@ -325,31 +319,18 @@ func (s *Server) handleCreateSession(r *http.Request) (any, error) {
 			Shards: o.Shards, ShardRows: o.ShardRows,
 		}
 	}
-	cacheEntries := s.cfg.CacheEntries
-	if req.CacheEntries != nil {
-		cacheEntries = *req.CacheEntries
-		if cacheEntries < 0 {
-			cacheEntries = 0
-		}
-	}
-	planEntries := s.cfg.PlanCacheEntries
-	if req.PlanCacheEntries != nil {
-		planEntries = *req.PlanCacheEntries
-		if planEntries < 0 {
-			planEntries = 0
-		}
-	}
 	// Server sessions are versioned from birth: version 1 is the creation
 	// snapshot, and every append publishes the next. (Bare library databases
 	// stay version 0, the pre-MVCC cache identity.)
 	db.SetVersion(1)
-	sess := hyper.NewSessionWithCache(db, model, hyper.NewCacheBounded(cacheEntries))
+	cache := hyper.NewCacheBounded(s.cfg.CacheEntries)
+	sess := hyper.NewSessionWithCache(db, model, cache)
 	sess.SetOptions(opts)
-	// Each session owns its plan cache (cache identity is query fingerprint +
-	// schema signature, and the signature is only unique within a session's
-	// database); deleting the session drops every cached plan with it. All
-	// sessions share one compile-latency histogram.
-	pc := hyper.NewPlanCache(planEntries)
+	// Each session's plans live in its own cache (plan identity is query
+	// fingerprint + schema signature, and the signature is only unique
+	// within a session's database); deleting the session drops every cached
+	// plan with it. All sessions share one compile-latency histogram.
+	pc := hyper.NewPlanCache(cache)
 	pc.SetCompileObserver(s.planCompile.Observe)
 	sess.SetPlanCache(pc)
 
